@@ -10,6 +10,9 @@ and learning disabled, as the no-learning control.
 
 from __future__ import annotations
 
+import functools
+import inspect
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -62,6 +65,56 @@ def format_candidate(kind: str, candidate) -> str:
     if kind == "binary":
         return "".join(str(int(v)) for v in candidate)
     return " ".join(str(int(v)) for v in candidate)
+
+
+# Valid values of the runners' keyword hyperparameters, by name. A size
+# below 1 leaves a generation, colony, tournament or evaluation empty, and an
+# empty generation or evaluation never ends a run.
+_SIZES = ("population_size", "colony_size", "tournament_size", "episodes_per_eval")
+_PROBABILITIES = ("crossover_prob", "mutation_prob", "flip_prob", "swap_prob", "rho")
+
+
+def check_params(runner, params: dict):
+    """Raise ValueError unless ``params`` are keyword hyperparameters that
+    ``runner`` takes, with values it can run with: sizes are integers >= 1,
+    probabilities lie in [0, 1], and 0 < tau_min <= tau_max. None keeps a
+    default that the runner resolves itself."""
+    defaults = {name: p.default
+                for name, p in inspect.signature(runner).parameters.items()
+                if p.kind is p.KEYWORD_ONLY}
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown {runner.__name__} params: {unknown} "
+                         f"(known: {sorted(defaults)})")
+    values = {**defaults, **params}
+    for name, v in values.items():
+        if v is None:
+            continue
+        if name in _SIZES and (isinstance(v, bool)
+                               or not isinstance(v, numbers.Integral) or v < 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        if name in _PROBABILITIES and not (isinstance(v, numbers.Real)
+                                           and 0.0 <= v <= 1.0):
+            raise ValueError(f"{name} must be in [0, 1], got {v!r}")
+    if "tau_min" in values:
+        low, high = values["tau_min"], values["tau_max"]
+        if not (isinstance(low, numbers.Real) and isinstance(high, numbers.Real)
+                and 0.0 < low <= high):
+            raise ValueError(f"need 0 < tau_min <= tau_max, got {low!r}, {high!r}")
+
+
+def _checked(runner):
+    """Apply ``check_params`` to the keyword hyperparameters of every call;
+    other arguments pass through unchanged."""
+    names = {name for name, p in inspect.signature(runner).parameters.items()
+             if p.kind is p.KEYWORD_ONLY}
+
+    @functools.wraps(runner)
+    def wrapper(*args, **kwargs):
+        check_params(runner, {k: v for k, v in kwargs.items() if k in names})
+        return runner(*args, **kwargs)
+
+    return wrapper
 
 
 def random_search(space: SearchSpace, budget: int, seed) -> RunRecord:
@@ -134,6 +187,7 @@ def _tournament(scored: list, k: int, better, rng):
     return scored[best][0]
 
 
+@_checked
 def ga_run(space: SearchSpace, budget: int, seed, *, population_size: int = 50,
            crossover_prob: float = 0.9, tournament_size: int = 3,
            flip_prob: float = None, swap_prob: float = 0.8) -> RunRecord:
@@ -230,6 +284,7 @@ def pheromone_step(tau, rho, deposits, delta, tau_min=0.01, tau_max=10.0):
     return np.clip(out, tau_min, tau_max)
 
 
+@_checked
 def aco_run(space: SearchSpace, budget: int, seed, *, colony_size: int = 20,
             rho: float = 0.1, tau_min: float = 0.01,
             tau_max: float = 10.0) -> RunRecord:
@@ -404,6 +459,7 @@ def subtree_mutation(a: DecisionTree, spec, rng, max_depth: int = 6) -> Decision
     return DecisionTree(root)
 
 
+@_checked
 def gp_evolve(env_factory, budget: int, seed, *, population_size: int = 30,
               crossover_prob: float = 0.8, mutation_prob: float = 0.2,
               tournament_size: int = 3, max_depth: int = 6,

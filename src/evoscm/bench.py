@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import datagen
-from .baselines import SearchSpace, aco_run, ga_run, gp_evolve, greedy_edd, random_search
+from .baselines import (SearchSpace, aco_run, check_params, ga_run, gp_evolve, greedy_edd,
+                        random_search)
 from .envs import BudgetCounter
 from .evolve import EvolutionConfig, run_eldt
 from .flowshop import HfsEnv, decode_list_schedule, makespan
@@ -152,6 +153,10 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.problem == "makeorbuy" and self.algo == "greedy":
             raise ValueError("greedy EDD is a flow-shop heuristic; use --problem hfs")
+        runner = {"rs": random_search, "ga": ga_run, "aco": aco_run,
+                  "gp": gp_evolve}.get(self.algo)
+        if runner is not None:
+            check_params(runner, self.params)
 
 
 def _makeorbuy_setup(cfg: ExperimentConfig):

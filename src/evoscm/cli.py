@@ -40,8 +40,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sim-params", help="key=value file of simulator settings")
     run.add_argument("--grammar", help="BNF grammar file for eldt (default: auto)")
     run.add_argument("--workers", type=int, default=1,
-                     help="thread pool size over runs; results are identical "
-                          "for any value (default 1)")
+                     help="threads running the campaign's runs; results are "
+                          "identical for any value, but the runs are pure Python, "
+                          "so under the GIL more threads give no speed-up "
+                          "(default 1)")
 
     comp = sub.add_parser("compare", help="pairwise rank-sum matrix over run dirs")
     comp.add_argument("--in", dest="in_dirs", nargs="+", required=True,

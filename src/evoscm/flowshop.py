@@ -12,11 +12,25 @@ time in permutation order, each phase at its earliest feasible start given
 everything placed so far. The assembly-area constraint spans the whole job,
 so a placement whose open interval would overflow the areas is retried with
 the first phase pushed past the next area release.
+
+Everything placed so far lives in capacity profiles, one per category and one
+for the jobs' open windows: sorted breakpoints with the usage of each segment
+between them (the serial schedule-generation scheme's data structure). A
+phase query bisects to its ready time and walks forward over the segments
+until a gap of the phase's length fits under the capacity, so it costs a
+bisect plus a walk over the segments the phase crosses. The area check walks
+the segments of the job's window the same way, and a retry finds the next
+release by bisecting a sorted list of window ends. Placing an interval splits
+its profile at the interval's two ends and increments the segments between.
+Starts are always the ready time or an existing breakpoint and ends are
+``start + duration``; no time is computed by any other arithmetic.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,43 +135,59 @@ def _first_phase_index(phases, category):
     return None
 
 
-def _earliest_slot(intervals, cap, ready, dur):
-    """Earliest t >= ready such that fewer than ``cap`` of the half-open
-    ``intervals`` cover every instant of [t, t + dur)."""
-    events = {}
-    for s, e in intervals:
-        if e <= ready:
-            continue
-        s = max(s, ready)
-        events[s] = events.get(s, 0) + 1
-        events[e] = events.get(e, 0) - 1
-    candidate = ready
-    usage = 0
-    for t in sorted(events):
-        if usage >= cap:
-            candidate = t
-        elif t - candidate >= dur:
-            return candidate
-        usage += events[t]
-    return candidate
+class _Profile:
+    """Piecewise-constant usage over time: ``usage[k]`` half-open intervals
+    cover every instant of [times[k], times[k + 1]); the last segment runs to
+    +inf. ``times`` starts at a -inf sentinel, so every query time falls in a
+    segment."""
 
+    __slots__ = ("times", "usage")
 
-def _window_peak(windows, start, end):
-    """Maximum number of half-open ``windows`` covering an instant of
-    [start, end)."""
-    events = {}
-    for s, e in windows:
-        s2, e2 = max(s, start), min(e, end)
-        if e2 <= s2:
-            continue
-        events[s2] = events.get(s2, 0) + 1
-        events[e2] = events.get(e2, 0) - 1
-    usage = peak = 0
-    for t in sorted(events):
-        usage += events[t]
-        if usage > peak:
-            peak = usage
-    return peak
+    def __init__(self):
+        self.times = [-math.inf]
+        self.usage = [0]
+
+    def earliest(self, cap, ready, dur):
+        """Earliest t >= ready such that fewer than ``cap`` intervals cover
+        every instant of [t, t + dur). Always ``ready`` or a breakpoint."""
+        times, usage = self.times, self.usage
+        candidate = ready
+        for k in range(bisect_right(times, ready), len(times)):
+            t = times[k]
+            if usage[k - 1] >= cap:
+                candidate = t
+            elif t - candidate >= dur:
+                return candidate
+        return candidate
+
+    def _split(self, t, lo):
+        """Make ``t`` a breakpoint (searching from index ``lo``); its index."""
+        times = self.times
+        k = bisect_left(times, t, lo)
+        if k == len(times) or times[k] != t:
+            times.insert(k, t)
+            self.usage.insert(k, self.usage[k - 1])
+        return k
+
+    def add(self, start, end):
+        """Count one more interval over [start, end)."""
+        i = self._split(start, 1)
+        j = self._split(end, i)
+        usage = self.usage
+        for k in range(i, j):
+            usage[k] += 1
+
+    def peak(self, start, end):
+        """Highest usage at any instant of [start, end)."""
+        times, usage = self.times, self.usage
+        k = bisect_right(times, start) - 1
+        last = len(times)
+        peak = 0
+        while k < last and times[k] < end:
+            if usage[k] > peak:
+                peak = usage[k]
+            k += 1
+        return peak
 
 
 def decode_list_schedule(instance: HfsInstance, permutation) -> Schedule:
@@ -173,8 +203,9 @@ def decode_list_schedule(instance: HfsInstance, permutation) -> Schedule:
     perm = [int(p) for p in permutation]
     if sorted(perm) != list(range(n)):
         raise ValueError("permutation must be a bijection over job indices 0..n-1")
-    cat_intervals = {category: [] for category in CATEGORIES}
-    job_windows = []
+    profiles = {category: _Profile() for category in CATEGORIES}
+    areas = _Profile()
+    window_ends = []
     placed = [None] * n
     for j in perm:
         job = instance.jobs[j]
@@ -191,20 +222,20 @@ def decode_list_schedule(instance: HfsInstance, permutation) -> Schedule:
                     lo = max(lo, job.basement_day)
                 if k == first_e:
                     lo = max(lo, job.panel_day)
-                start = _earliest_slot(cat_intervals[category],
-                                       instance.capacities[category], lo, dur)
+                start = profiles[category].earliest(instance.capacities[category], lo, dur)
                 spans.append((category, start, start + dur))
                 prev_end = start + dur
-            window = (spans[0][1], spans[-1][2])
-            if _window_peak(job_windows, *window) < instance.assembly_areas:
+            window_start, window_end = spans[0][1], spans[-1][2]
+            if areas.peak(window_start, window_end) < instance.assembly_areas:
                 break
-            releases = [e for _, e in job_windows if e > window[0]]
-            if not releases:
+            k = bisect_right(window_ends, window_start)
+            if k == len(window_ends):
                 raise RuntimeError("area overflow with no pending release")
-            push = min(releases)
+            push = window_ends[k]
         for category, start, end in spans:
-            cat_intervals[category].append((start, end))
-        job_windows.append((spans[0][1], spans[-1][2]))
+            profiles[category].add(start, end)
+        areas.add(window_start, window_end)
+        insort(window_ends, window_end)
         placed[j] = spans
     delivery = [placed[j][-1][2] + instance.transport_days for j in range(n)]
     return Schedule(job_ids=[job.id for job in instance.jobs],

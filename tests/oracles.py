@@ -1,9 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately written with a different mechanism than the
-code under test: the scheduler scans integer time cells instead of sweeping
-event segments, the rank-sum p-value enumerates labelings directly, and the
-Bellman step is recomputed from the raw formula. Keep these naive and slow.
+code under test: one scheduler scans integer time cells, another re-sorts
+every placed interval into an event sweep for each phase instead of keeping
+capacity profiles, the rank-sum p-value enumerates labelings directly, and
+the Bellman step is recomputed from the raw formula. Keep these naive and
+slow.
 """
 
 import itertools
@@ -102,6 +104,89 @@ def schedule_oracle(jobs, type_specs, capacities, assembly_areas, transport_days
     phases = [placed[j] for j in range(len(jobs))]
     deliveries = [spans[-1][2] + transport_days for spans in phases]
     return (max(deliveries, default=0.0), phases)
+
+
+# scheduling oracle: event sweep over every placed interval ----------------
+
+def _earliest_slot(intervals, cap, ready, dur):
+    """Earliest t >= ready such that fewer than ``cap`` of the half-open
+    ``intervals`` cover every instant of [t, t + dur)."""
+    events = {}
+    for s, e in intervals:
+        if e <= ready:
+            continue
+        s = max(s, ready)
+        events[s] = events.get(s, 0) + 1
+        events[e] = events.get(e, 0) - 1
+    candidate = ready
+    usage = 0
+    for t in sorted(events):
+        if usage >= cap:
+            candidate = t
+        elif t - candidate >= dur:
+            return candidate
+        usage += events[t]
+    return candidate
+
+
+def _window_peak(windows, start, end):
+    """Maximum number of half-open ``windows`` covering an instant of
+    [start, end)."""
+    events = {}
+    for s, e in windows:
+        s2, e2 = max(s, start), min(e, end)
+        if e2 <= s2:
+            continue
+        events[s2] = events.get(s2, 0) + 1
+        events[e2] = events.get(e2, 0) - 1
+    usage = peak = 0
+    for t in sorted(events):
+        usage += events[t]
+        if usage > peak:
+            peak = usage
+    return peak
+
+
+def sweep_schedule_oracle(instance, permutation):
+    """Serial list scheduling with float times, re-sweeping every placed
+    interval for each query; same placement rule as
+    ``decode_list_schedule``. Returns (phases_per_job, deliveries) in
+    input-job order."""
+    cat_intervals = {"M": [], "E": [], "R": []}
+    job_windows = []
+    placed = {}
+    for j in permutation:
+        job = instance.jobs[j]
+        phases = instance.type_specs[job.machine_type]
+        first_m = next((k for k, (c, _) in enumerate(phases) if c == "M"), None)
+        first_e = next((k for k, (c, _) in enumerate(phases) if c == "E"), None)
+        push = 0.0
+        while True:
+            spans = []
+            prev_end = None
+            for k, (category, dur) in enumerate(phases):
+                lo = push if prev_end is None else prev_end
+                if k == first_m:
+                    lo = max(lo, job.basement_day)
+                if k == first_e:
+                    lo = max(lo, job.panel_day)
+                start = _earliest_slot(cat_intervals[category],
+                                       instance.capacities[category], lo, dur)
+                spans.append((category, start, start + dur))
+                prev_end = start + dur
+            window = (spans[0][1], spans[-1][2])
+            if _window_peak(job_windows, *window) < instance.assembly_areas:
+                break
+            releases = [e for _, e in job_windows if e > window[0]]
+            if not releases:
+                raise RuntimeError("area overflow with no pending release")
+            push = min(releases)
+        for category, start, end in spans:
+            cat_intervals[category].append((start, end))
+        job_windows.append(window)
+        placed[j] = spans
+    phases = [placed[j] for j in range(len(instance.jobs))]
+    return phases, [spans[-1][2] + instance.transport_days for spans in phases]
 
 
 # rank-sum oracle: direct labeling enumeration ------------------------------

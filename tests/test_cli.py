@@ -1,7 +1,11 @@
 import csv
+import os
+import subprocess
+import sys
 
 import pytest
 
+import evoscm
 from evoscm import load_hfs, load_makeorbuy, gen_makeorbuy
 from evoscm.cli import main
 from evoscm.flowshop import LT7_FAMILY
@@ -162,6 +166,48 @@ class TestRunCommand:
                      "--out", str(out), "--workers", workers])
             snaps[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert snaps["1"] == snaps["4"]
+
+
+def run_cli_bounded(argv, timeout=60):
+    """The CLI in a child interpreter, killed after ``timeout`` seconds, so
+    a hang fails the test instead of stalling the suite."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evoscm.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "evoscm.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+class TestBadHyperparameters:
+    """Each bad --params value exits 1 with one error line, before any run."""
+
+    def run_with(self, dataset, tmp_path, algo, text):
+        params = tmp_path / f"{algo}.params"
+        params.write_text(text)
+        out = tmp_path / algo
+        done = run_cli_bounded(["run", "--problem", "makeorbuy", "--algo", algo,
+                                "--dataset", dataset, "--budget", "20",
+                                "--runs", "2", "--workers", "2",
+                                "--out", str(out), "--params", str(params)])
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+        return done.stderr
+
+    @pytest.mark.parametrize("algo", ["ga", "gp"])
+    def test_zero_population_size(self, mob_dataset, tmp_path, algo):
+        err = self.run_with(mob_dataset, tmp_path, algo, "population_size = 0\n")
+        assert "population_size" in err
+
+    def test_zero_colony_size(self, mob_dataset, tmp_path):
+        err = self.run_with(mob_dataset, tmp_path, "aco", "colony_size = 0\n")
+        assert "colony_size" in err
+
+    @pytest.mark.parametrize("algo", ["rs", "ga", "aco", "gp"])
+    def test_unknown_key(self, mob_dataset, tmp_path, algo):
+        err = self.run_with(mob_dataset, tmp_path, algo, "temperature = 3\n")
+        assert "unknown" in err and "temperature" in err
 
 
 class TestCompareCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -22,7 +23,7 @@ from evoscm import (
     save_schedule,
 )
 from evoscm.datagen import default_machine_types
-from oracles import schedule_oracle
+from oracles import schedule_oracle, sweep_schedule_oracle
 
 TWO_PHASE = {"J": (("M", 2.0), ("E", 3.0))}
 ONE_PHASE = {"J": (("M", 5.0),)}
@@ -166,6 +167,30 @@ class TestOracleEquivalence:
             oracle = min(schedule_oracle(*oracle_args(inst), list(p))[0]
                          for p in perms)
             assert ours == oracle
+
+
+class TestSweepOracleEquivalence:
+    """Float-time decodes against the event-sweep reference, including tight
+    areas and capacities that force the area-retry path, which generated
+    instances at the default 20 areas take rarely or never."""
+
+    @pytest.mark.parametrize("variant", ["d1", "d2", "d3", "d4"])
+    def test_generated_instances_match_sweep_oracle(self, variant):
+        rng = np.random.default_rng(["d1", "d2", "d3", "d4"].index(variant))
+        for n in (20, 60, 200):
+            base = gen_hfs(variant, n, int(rng.integers(1_000_000)))
+            cases = [base]
+            if n < 200:
+                cases += [dataclasses.replace(
+                    base, assembly_areas=areas,
+                    capacities={"M": cap, "E": cap, "R": cap})
+                    for areas in (1, 2, 3) for cap in (1, 2)]
+            for inst in cases:
+                perm = [int(p) for p in rng.permutation(n)]
+                got = decode_list_schedule(inst, perm)
+                want_phases, want_delivery = sweep_schedule_oracle(inst, perm)
+                assert got.phases == want_phases, (variant, n, inst.assembly_areas)
+                assert got.delivery == want_delivery
 
 
 class TestMakespan:
