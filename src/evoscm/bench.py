@@ -153,6 +153,10 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.problem == "makeorbuy" and self.algo == "greedy":
             raise ValueError("greedy EDD is a flow-shop heuristic; use --problem hfs")
+        if self.algo == "greedy" and self.params:
+            raise ValueError(f"greedy takes no params, got {sorted(self.params)}")
+        if self.problem == "makeorbuy":
+            MakeOrBuyParams.from_settings(self.sim_params)
         runner = {"rs": random_search, "ga": ga_run, "aco": aco_run,
                   "gp": gp_evolve}.get(self.algo)
         if runner is not None:
@@ -161,7 +165,7 @@ class ExperimentConfig:
 
 def _makeorbuy_setup(cfg: ExperimentConfig):
     orders = datagen.load_makeorbuy(cfg.dataset)
-    params = MakeOrBuyParams(**cfg.sim_params) if cfg.sim_params else MakeOrBuyParams()
+    params = MakeOrBuyParams.from_settings(cfg.sim_params)
 
     def space_builder(counter):
         def score(x, rng):

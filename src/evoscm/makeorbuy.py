@@ -17,12 +17,29 @@ All processing, travel, load/unload, and assembly times are uniform draws;
 the default production range is calibrated so that making everything
 overloads the plants and tail orders miss their deadlines, which is what
 makes the make-or-buy decision non-trivial.
+
+A seed fixes the outcome because the draws come in one fixed order from one
+generator. First the production times: one vectorized uniform per unit for
+plant A, then B, then C, in FIFO unit order. Every later time comes from a
+single stream of the generator's uniforms, drawn in blocks of 1024 as each
+block runs out, and is ``lo + (hi - lo) * u`` for the next uniform ``u``.
+The stream is consumed cycle by cycle while units remain undelivered: the
+leg to A, a load at A if a unit is ready there, the leg to B, a load at B,
+the leg to C, a load at C, the leg back to D, and an unload at D if anything
+was loaded. Then comes one assembly draw per internal order, in service
+order (ready day, ties in order-list order). Any change to this order
+changes every seed's outcome; ``tests/oracles.py`` holds a reference that
+pins it.
 """
 
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field
+import math
+import numbers
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -75,11 +92,40 @@ class MakeOrBuyParams:
     def __post_init__(self):
         for name in ("production_a", "production_b", "production_c",
                      "travel", "load", "unload", "assembly"):
-            lo, hi = getattr(self, name)
-            if lo < 0 or hi < lo:
-                raise ValueError(f"{name} range must satisfy 0 <= lo <= hi")
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(map(_is_number, pair))):
+                raise ValueError(f"{name} must be a 'lo, hi' pair of numbers, "
+                                 f"got {pair!r}")
+            lo, hi = pair
+            if not 0 <= lo <= hi < math.inf:
+                raise ValueError(f"{name} range must satisfy 0 <= lo <= hi < inf")
         if self.travel[0] <= 0:
             raise ValueError("travel time must be strictly positive")
+        for name in ("on_time_revenue", "late_revenue", "outsource_cost"):
+            value = getattr(self, name)
+            if not (_is_number(value) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.outsourced_count_on_time, bool):
+            raise ValueError("outsourced_count_on_time must be true or false, "
+                             f"got {self.outsourced_count_on_time!r}")
+        if not isinstance(self.start_date, datetime.date):
+            raise ValueError(f"start_date must be a date, got {self.start_date!r}")
+
+    @classmethod
+    def from_settings(cls, settings: dict) -> "MakeOrBuyParams":
+        """Params from ``--sim-params`` key/value settings; a key that is not
+        a field is an error, and so is any value ``__post_init__`` rejects."""
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(settings) - set(known))
+        if unknown:
+            raise ValueError(f"unknown makeorbuy sim params: {unknown} "
+                             f"(known: {sorted(known)})")
+        return cls(**settings)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def revenue(n_on_time: int, n_late: int, n_outsourced: int, *,
@@ -101,22 +147,11 @@ class SimOutcome:
     completion_day: list
 
 
-class _UniformTape:
-    """Block-buffered uniform draws with a fixed consumption order."""
-
-    def __init__(self, rng, block: int = 1024):
-        self._rng = rng
-        self._block = block
-        self._buf = rng.random(block)
-        self._i = 0
-
-    def draw(self, lo: float, hi: float) -> float:
-        if self._i >= len(self._buf):
-            self._buf = self._rng.random(self._block)
-            self._i = 0
-        u = self._buf[self._i]
-        self._i += 1
-        return lo + (hi - lo) * float(u)
+def _uniform_stream(rng):
+    """``next()`` over rng's uniforms, drawn in blocks of 1024 as each block
+    runs out (``iter(f, None)`` calls ``f`` forever: a block is never None)."""
+    blocks = iter(lambda: rng.random(1024).tolist(), None)
+    return chain.from_iterable(blocks).__next__
 
 
 def simulate(orders, decisions, params: MakeOrBuyParams, seed) -> SimOutcome:
@@ -125,9 +160,8 @@ def simulate(orders, decisions, params: MakeOrBuyParams, seed) -> SimOutcome:
     ``decisions[i]`` is 0 (MAKE) or 1 (BUY) for orders[i]. Internal orders
     complete when plant D finishes assembling them; an order is on time iff
     its completion day is <= its deadline day. Outsourced orders complete on
-    their deadline. Draw order is fixed (production blocks for A, B, C, then
-    truck legs/loads/unloads as the cycle unfolds, then assembly in service
-    order), so a seed fully determines the outcome.
+    their deadline. The draws follow the fixed order of the module docstring,
+    so a seed fully determines the outcome.
     """
     n = len(orders)
     if len(decisions) != n:
@@ -137,71 +171,66 @@ def simulate(orders, decisions, params: MakeOrBuyParams, seed) -> SimOutcome:
         raise ValueError("decisions must be 0 (MAKE) or 1 (BUY)")
     rng = np.random.default_rng(seed)
     internal = [i for i in range(n) if decisions[i] == MAKE]
+    qty = ([orders[i].qty_a for i in internal],
+           [orders[i].qty_b for i in internal],
+           [orders[i].qty_c for i in internal])
+    ranges = (params.production_a, params.production_b, params.production_c)
+    done_times = [np.cumsum(rng.uniform(lo, hi, int(sum(q)))).tolist()
+                  for q, (lo, hi) in zip(qty, ranges)]
+    total_units = sum(map(len, done_times))
 
-    comp_qty = {
-        "a": [orders[i].qty_a for i in internal],
-        "b": [orders[i].qty_b for i in internal],
-        "c": [orders[i].qty_c for i in internal],
-    }
-    ranges = {"a": params.production_a, "b": params.production_b,
-              "c": params.production_c}
-    done_times = {}
-    need_cum = {}
-    for comp in ("a", "b", "c"):
-        total = int(sum(comp_qty[comp]))
-        lo, hi = ranges[comp]
-        done_times[comp] = np.cumsum(rng.uniform(lo, hi, total))
-        need_cum[comp] = np.cumsum(comp_qty[comp])
-    total_units = sum(len(done_times[comp]) for comp in ("a", "b", "c"))
-
-    tape = _UniformTape(rng)
-    arrive_t = {comp: [] for comp in ("a", "b", "c")}
-    arrive_cum = {comp: [] for comp in ("a", "b", "c")}
+    draw = _uniform_stream(rng)
+    arrive_t = ([], [], [])  # per plant: unload times at D ...
+    arrive_cum = ([], [], [])  # ... and the units of that plant shipped by then
     if total_units:
-        picked = {comp: 0 for comp in ("a", "b", "c")}
-        shipped = {comp: 0 for comp in ("a", "b", "c")}
-        onboard = {comp: 0 for comp in ("a", "b", "c")}
-        delivered = 0
+        travel_lo, travel_hi = params.travel
+        travel_w = travel_hi - travel_lo
+        load_lo, load_hi = params.load
+        load_w = load_hi - load_lo
+        unload_lo, unload_hi = params.unload
+        unload_w = unload_hi - unload_lo
+        picked = [0, 0, 0]
+        shipped = 0
         t = 0.0
-        while delivered < total_units:
-            for comp in ("a", "b", "c"):
-                t += tape.draw(*params.travel)
-                done = done_times[comp]
+        while shipped < total_units:
+            stops = []  # arrival lists of the plants loaded on this cycle
+            for comp, done in enumerate(done_times):
+                t += travel_lo + travel_w * draw()
                 k = picked[comp]
-                while k < len(done) and done[k] <= t:
-                    k += 1
-                ready = k - picked[comp]
-                if ready:  # empty stops are skipped with zero dwell
-                    t += tape.draw(*params.load)
-                    picked[comp] = k
-                    onboard[comp] += ready
-            t += tape.draw(*params.travel)
-            if any(onboard.values()):
-                t += tape.draw(*params.unload)
-                for comp in ("a", "b", "c"):
-                    if onboard[comp]:
-                        shipped[comp] += onboard[comp]
-                        arrive_t[comp].append(t)
-                        arrive_cum[comp].append(shipped[comp])
-                        delivered += onboard[comp]
-                        onboard[comp] = 0
+                if k < len(done) and done[k] <= t:  # empty stops: zero dwell
+                    k_new = bisect_right(done, t, k + 1)
+                    t += load_lo + load_w * draw()
+                    shipped += k_new - k
+                    picked[comp] = k_new
+                    arrive_cum[comp].append(k_new)
+                    stops.append(arrive_t[comp])
+            t += travel_lo + travel_w * draw()
+            if stops:
+                t += unload_lo + unload_w * draw()
+                for times in stops:
+                    times.append(t)
 
     ready_day = []
+    need = [0, 0, 0]
     for pos in range(len(internal)):
         r = 0.0
-        for comp in ("a", "b", "c"):
-            req = need_cum[comp][pos] if len(need_cum[comp]) else 0
-            if comp_qty[comp][pos] == 0 or req == 0:
-                continue
-            idx = int(np.searchsorted(arrive_cum[comp], req, side="left"))
-            r = max(r, arrive_t[comp][idx])
+        for comp in (0, 1, 2):
+            q = qty[comp][pos]
+            if q:
+                need[comp] += q
+                arrived = arrive_t[comp][bisect_left(arrive_cum[comp], need[comp])]
+                if arrived > r:
+                    r = arrived
         ready_day.append(r)
 
     completion = [0.0] * n
+    asm_lo, asm_hi = params.assembly
+    asm_w = asm_hi - asm_lo
     server = 0.0
-    for pos in sorted(range(len(internal)), key=lambda p: (ready_day[p], p)):
+    # stable sort: ties in ready day keep order-list order
+    for pos in sorted(range(len(internal)), key=ready_day.__getitem__):
         start = max(server, ready_day[pos])
-        server = start + tape.draw(*params.assembly)
+        server = start + (asm_lo + asm_w * draw())
         completion[internal[pos]] = server
 
     n_outsourced = n - len(internal)

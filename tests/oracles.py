@@ -3,14 +3,19 @@
 Everything here is deliberately written with a different mechanism than the
 code under test: one scheduler scans integer time cells, another re-sorts
 every placed interval into an event sweep for each phase instead of keeping
-capacity profiles, the rank-sum p-value enumerates labelings directly, and
-the Bellman step is recomputed from the raw formula. Keep these naive and
-slow.
+capacity profiles, the make-or-buy simulator makes one tape method call per
+uniform and searches arrival lists with ``np.searchsorted``, the rank-sum
+p-value enumerates labelings directly, and the Bellman step is recomputed
+from the raw formula. Keep these naive and slow.
 """
 
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from evoscm.makeorbuy import BUY, MAKE, SimOutcome, revenue
 
 
 def bellman_oracle(q, alpha, reward, gamma, max_next):
@@ -187,6 +192,135 @@ def sweep_schedule_oracle(instance, permutation):
         placed[j] = spans
     phases = [placed[j] for j in range(len(instance.jobs))]
     return phases, [spans[-1][2] + instance.transport_days for spans in phases]
+
+
+# make-or-buy oracle: one tape method call per draw -----------------------
+
+class _UniformTape:
+    """Block-buffered uniform draws with a fixed consumption order."""
+
+    def __init__(self, rng, block: int = 1024):
+        self._rng = rng
+        self._block = block
+        self._buf = rng.random(block)
+        self._i = 0
+
+    def draw(self, lo: float, hi: float) -> float:
+        if self._i >= len(self._buf):
+            self._buf = self._rng.random(self._block)
+            self._i = 0
+        u = self._buf[self._i]
+        self._i += 1
+        return lo + (hi - lo) * float(u)
+
+
+def simulate_oracle(orders, decisions, params, seed):
+    """Run the supply chain once for a full decision vector, drawing every
+    truck, load, unload and assembly time through a method call on the tape
+    and scanning arrivals with ``np.searchsorted``; the reference that pins
+    the draw order of ``makeorbuy.simulate``.
+
+    ``decisions[i]`` is 0 (MAKE) or 1 (BUY) for orders[i]. Internal orders
+    complete when plant D finishes assembling them; an order is on time iff
+    its completion day is <= its deadline day. Outsourced orders complete on
+    their deadline. Draw order is fixed (production blocks for A, B, C, then
+    truck legs/loads/unloads as the cycle unfolds, then assembly in service
+    order), so a seed fully determines the outcome.
+    """
+    n = len(orders)
+    if len(decisions) != n:
+        raise ValueError("need exactly one decision per order")
+    decisions = [int(d) for d in decisions]
+    if any(d not in (MAKE, BUY) for d in decisions):
+        raise ValueError("decisions must be 0 (MAKE) or 1 (BUY)")
+    rng = np.random.default_rng(seed)
+    internal = [i for i in range(n) if decisions[i] == MAKE]
+
+    comp_qty = {
+        "a": [orders[i].qty_a for i in internal],
+        "b": [orders[i].qty_b for i in internal],
+        "c": [orders[i].qty_c for i in internal],
+    }
+    ranges = {"a": params.production_a, "b": params.production_b,
+              "c": params.production_c}
+    done_times = {}
+    need_cum = {}
+    for comp in ("a", "b", "c"):
+        total = int(sum(comp_qty[comp]))
+        lo, hi = ranges[comp]
+        done_times[comp] = np.cumsum(rng.uniform(lo, hi, total))
+        need_cum[comp] = np.cumsum(comp_qty[comp])
+    total_units = sum(len(done_times[comp]) for comp in ("a", "b", "c"))
+
+    tape = _UniformTape(rng)
+    arrive_t = {comp: [] for comp in ("a", "b", "c")}
+    arrive_cum = {comp: [] for comp in ("a", "b", "c")}
+    if total_units:
+        picked = {comp: 0 for comp in ("a", "b", "c")}
+        shipped = {comp: 0 for comp in ("a", "b", "c")}
+        onboard = {comp: 0 for comp in ("a", "b", "c")}
+        delivered = 0
+        t = 0.0
+        while delivered < total_units:
+            for comp in ("a", "b", "c"):
+                t += tape.draw(*params.travel)
+                done = done_times[comp]
+                k = picked[comp]
+                while k < len(done) and done[k] <= t:
+                    k += 1
+                ready = k - picked[comp]
+                if ready:  # empty stops are skipped with zero dwell
+                    t += tape.draw(*params.load)
+                    picked[comp] = k
+                    onboard[comp] += ready
+            t += tape.draw(*params.travel)
+            if any(onboard.values()):
+                t += tape.draw(*params.unload)
+                for comp in ("a", "b", "c"):
+                    if onboard[comp]:
+                        shipped[comp] += onboard[comp]
+                        arrive_t[comp].append(t)
+                        arrive_cum[comp].append(shipped[comp])
+                        delivered += onboard[comp]
+                        onboard[comp] = 0
+
+    ready_day = []
+    for pos in range(len(internal)):
+        r = 0.0
+        for comp in ("a", "b", "c"):
+            req = need_cum[comp][pos] if len(need_cum[comp]) else 0
+            if comp_qty[comp][pos] == 0 or req == 0:
+                continue
+            idx = int(np.searchsorted(arrive_cum[comp], req, side="left"))
+            r = max(r, arrive_t[comp][idx])
+        ready_day.append(r)
+
+    completion = [0.0] * n
+    server = 0.0
+    for pos in sorted(range(len(internal)), key=lambda p: (ready_day[p], p)):
+        start = max(server, ready_day[pos])
+        server = start + tape.draw(*params.assembly)
+        completion[internal[pos]] = server
+
+    n_outsourced = n - len(internal)
+    internal_on_time = 0
+    for i in internal:
+        if completion[i] <= orders[i].deadline_day:
+            internal_on_time += 1
+    for i in range(n):
+        if decisions[i] == BUY:
+            completion[i] = float(orders[i].deadline_day)
+    n_late = len(internal) - internal_on_time
+    n_on_time = internal_on_time
+    if params.outsourced_count_on_time:
+        n_on_time += n_outsourced
+    total = revenue(n_on_time, n_late, n_outsourced,
+                    on_time_revenue=params.on_time_revenue,
+                    late_revenue=params.late_revenue,
+                    outsource_cost=params.outsource_cost)
+    return SimOutcome(n_on_time=n_on_time, n_late=n_late,
+                      n_outsourced=n_outsourced, revenue=total,
+                      completion_day=completion)
 
 
 # rank-sum oracle: direct labeling enumeration ------------------------------

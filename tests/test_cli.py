@@ -210,6 +210,41 @@ class TestBadHyperparameters:
         assert "unknown" in err and "temperature" in err
 
 
+class TestBadSettings:
+    """Bad --sim-params, or --params for greedy, exit 1 with one error line
+    before any run."""
+
+    def run_with(self, argv, flag, text, tmp_path):
+        settings = tmp_path / "settings.kv"
+        settings.write_text(text)
+        out = tmp_path / "out"
+        done = run_cli_bounded(["run", *argv, "--budget", "20", "--runs", "2",
+                                "--out", str(out), flag, str(settings)])
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+        return done.stderr
+
+    def test_unknown_makeorbuy_sim_param(self, mob_dataset, tmp_path):
+        err = self.run_with(["--problem", "makeorbuy", "--algo", "rs",
+                             "--dataset", mob_dataset],
+                            "--sim-params", "gravity = 9.8\n", tmp_path)
+        assert "unknown" in err and "gravity" in err
+
+    def test_scalar_makeorbuy_range(self, mob_dataset, tmp_path):
+        err = self.run_with(["--problem", "makeorbuy", "--algo", "eldt",
+                             "--dataset", mob_dataset],
+                            "--sim-params", "travel = 0.2\n", tmp_path)
+        assert "travel" in err and "pair" in err
+
+    def test_greedy_rejects_params(self, hfs_dataset, tmp_path):
+        err = self.run_with(["--problem", "hfs", "--algo", "greedy",
+                             "--dataset", hfs_dataset],
+                            "--params", "temperature = 3\n", tmp_path)
+        assert "greedy" in err and "temperature" in err
+
+
 class TestCompareCommand:
     def test_compare_two_dirs(self, mob_dataset, tmp_path, capsys):
         dirs = []
