@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +23,7 @@ from .baselines import (SearchSpace, aco_run, check_params, ga_run, gp_evolve, g
                         random_search)
 from .envs import BudgetCounter
 from .evolve import EvolutionConfig, run_eldt
-from .flowshop import HfsEnv, decode_list_schedule, makespan
+from .flowshop import CATEGORIES, HfsEnv, decode_list_schedule, makespan
 from .grammar import default_policy_grammar, load_bnf
 from .kvconfig import format_kv
 from .makeorbuy import MakeOrBuyEnv, MakeOrBuyParams, simulate
@@ -33,6 +33,8 @@ from .tree import LearningConfig, to_dot, to_text
 PROBLEMS = ("makeorbuy", "hfs")
 ALGORITHMS = ("eldt", "rs", "ga", "aco", "greedy", "gp")
 POLICY_ALGOS = ("eldt", "gp")
+HFS_SIM_PARAMS = ("assembly_areas", "capacity_e", "capacity_m", "capacity_r",
+                  "machine_types", "transport_days")
 
 
 def aggregate(values) -> tuple:
@@ -157,10 +159,57 @@ class ExperimentConfig:
             raise ValueError(f"greedy takes no params, got {sorted(self.params)}")
         if self.problem == "makeorbuy":
             MakeOrBuyParams.from_settings(self.sim_params)
+        else:
+            _hfs_load_kwargs(self.sim_params)
+        if self.algo == "eldt":
+            _eldt_configs(self)
         runner = {"rs": random_search, "ga": ga_run, "aco": aco_run,
                   "gp": gp_evolve}.get(self.algo)
         if runner is not None:
             check_params(runner, self.params)
+
+
+def _eldt_configs(cfg: ExperimentConfig) -> tuple:
+    """(EvolutionConfig, LearningConfig) from the campaign's eldt params."""
+    evolution = set(EvolutionConfig.__dataclass_fields__) - {"budget"}
+    learning = set(LearningConfig.__dataclass_fields__)
+    unknown = set(cfg.params) - evolution - learning
+    if unknown:
+        raise ValueError(f"unknown eldt params: {sorted(unknown)}")
+    return (EvolutionConfig(budget=cfg.budget,
+                            **{k: v for k, v in cfg.params.items() if k in evolution}),
+            LearningConfig(**{k: v for k, v in cfg.params.items() if k in learning}))
+
+
+def _hfs_load_kwargs(sim_params: dict) -> dict:
+    """``datagen.load_hfs`` keyword arguments from flow-shop ``--sim-params``;
+    an unknown key or a malformed value is a ValueError."""
+    unknown = sorted(set(sim_params) - set(HFS_SIM_PARAMS))
+    if unknown:
+        raise ValueError(f"unknown hfs sim params: {unknown} "
+                         f"(known: {list(HFS_SIM_PARAMS)})")
+    for key, value in sim_params.items():
+        if key == "machine_types":
+            ok, want = isinstance(value, str), "a file path"
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            ok, want = False, "a number"
+        elif key == "transport_days":
+            ok, want = 0 <= value < math.inf, "a finite number >= 0"
+        else:
+            ok, want = isinstance(value, numbers.Integral) and value >= 1, "an integer >= 1"
+        if not ok:
+            raise ValueError(f"hfs sim param {key} must be {want}, got {value!r}")
+    kwargs = {}
+    if any(key.startswith("capacity_") for key in sim_params):
+        kwargs["capacities"] = {c: sim_params.get(f"capacity_{c.lower()}", 5)
+                                for c in CATEGORIES}
+    if "assembly_areas" in sim_params:
+        kwargs["assembly_areas"] = sim_params["assembly_areas"]
+    if "transport_days" in sim_params:
+        kwargs["transport_days"] = float(sim_params["transport_days"])
+    if "machine_types" in sim_params:
+        kwargs["type_specs"] = datagen.load_machine_types(sim_params["machine_types"])
+    return kwargs
 
 
 def _makeorbuy_setup(cfg: ExperimentConfig):
@@ -181,21 +230,8 @@ def _makeorbuy_setup(cfg: ExperimentConfig):
 
 
 def _hfs_setup(cfg: ExperimentConfig):
-    sim = dict(cfg.sim_params)
-    kwargs = {}
-    if "capacity_m" in sim or "capacity_e" in sim or "capacity_r" in sim:
-        kwargs["capacities"] = {"M": int(sim.pop("capacity_m", 5)),
-                                "E": int(sim.pop("capacity_e", 5)),
-                                "R": int(sim.pop("capacity_r", 5))}
-    if "assembly_areas" in sim:
-        kwargs["assembly_areas"] = int(sim.pop("assembly_areas"))
-    if "transport_days" in sim:
-        kwargs["transport_days"] = float(sim.pop("transport_days"))
-    if "machine_types" in sim:
-        kwargs["type_specs"] = datagen.load_machine_types(sim.pop("machine_types"))
-    if sim:
-        raise ValueError(f"unknown hfs sim params: {sorted(sim)}")
-    instance = datagen.load_hfs(cfg.dataset, **kwargs)
+    instance = datagen.load_hfs(cfg.dataset, **_hfs_load_kwargs(cfg.sim_params))
+    makespans = {}  # one run's episodes share their decoded makespans
 
     def space_builder(counter):
         def score(p, rng):
@@ -205,7 +241,7 @@ def _hfs_setup(cfg: ExperimentConfig):
                            score=score, maximize=False, budget=counter)
 
     def env_factory(seed):
-        return HfsEnv(instance, seed)
+        return HfsEnv(instance, seed, makespans=makespans)
 
     return space_builder, env_factory, instance
 
@@ -222,24 +258,19 @@ def _scale_policy_record(record: RunRecord, scale: float) -> RunRecord:
     return record
 
 
-def _run_one(cfg: ExperimentConfig, setup, seed: int) -> RunRecord:
-    space_builder, env_factory, instance = setup
+def _run_one(cfg: ExperimentConfig, seed: int) -> RunRecord:
+    """Run ``seed`` of the campaign on a setup of its own, so that each run
+    has its own flow-shop makespan memo."""
+    space_builder, env_factory, instance = {
+        "makeorbuy": _makeorbuy_setup, "hfs": _hfs_setup}[cfg.problem](cfg)
     algo = cfg.algo
     if algo in POLICY_ALGOS:
         scale = env_factory(0).objective_scale
         if algo == "eldt":
-            known = {f.name for f in EvolutionConfig.__dataclass_fields__.values()} - {"budget"}
-            evo_kwargs = {k: v for k, v in cfg.params.items() if k in known}
-            learn_kwargs = {k: v for k, v in cfg.params.items()
-                            if k in ("alpha", "gamma", "epsilon", "q_init_low", "q_init_high")}
-            unknown = set(cfg.params) - set(evo_kwargs) - set(learn_kwargs)
-            if unknown:
-                raise ValueError(f"unknown eldt params: {sorted(unknown)}")
-            config = EvolutionConfig(budget=cfg.budget, **evo_kwargs)
+            config, learning = _eldt_configs(cfg)
             grammar = (load_bnf(cfg.grammar_path) if cfg.grammar_path
                        else default_policy_grammar(env_factory(0).spec))
-            record = run_eldt(config, grammar, env_factory, seed,
-                              LearningConfig(**learn_kwargs))
+            record = run_eldt(config, grammar, env_factory, seed, learning)
         else:
             record = gp_evolve(env_factory, cfg.budget, seed, **cfg.params)
         return _scale_policy_record(record, scale)
@@ -255,17 +286,18 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     """Run the campaign and write artifacts into cfg.out_dir.
 
     Run i uses seed cfg.seed + i; greedy runs once regardless of ``runs``.
-    Runs are independent (own RNG streams, own budget counters), so the
-    thread pool size changes wall time only, never results.
+    Runs are independent (own setup, RNG streams and budget counter), so
+    the thread pool size changes wall time only, never results.
     """
-    setup = {"makeorbuy": _makeorbuy_setup, "hfs": _hfs_setup}[cfg.problem](cfg)
     n_runs = 1 if cfg.algo == "greedy" else cfg.runs
     seeds = [cfg.seed + i for i in range(n_runs)]
     if cfg.workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(lambda s: _run_one(cfg, setup, s), seeds))
+            records = list(pool.map(lambda s: _run_one(cfg, s), seeds))
     else:
-        records = [_run_one(cfg, setup, s) for s in seeds]
+        records = [_run_one(cfg, s) for s in seeds]
     for rec in records:
         rec.problem = cfg.problem
         rec.dataset = cfg.dataset

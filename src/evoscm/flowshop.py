@@ -343,14 +343,22 @@ def priorities_to_permutation(priorities, jobs) -> list:
 class HfsEnv(Env):
     """Episodic wrapper: step i observes job i as (machine type code, due day,
     basement day, panel day) and assigns it a priority level. The terminal
-    step decodes the resulting permutation and pays -makespan/1000."""
+    step decodes the resulting permutation and pays -makespan/1000.
+
+    ``makespans`` maps a packed permutation to its makespan; environments
+    that share one dict (one run's episodes) decode each permutation once.
+    Only the float is kept, so ``last_schedule`` decodes again on request.
+    """
 
     objective_scale = -1000.0
 
-    def __init__(self, instance: HfsInstance, seed=None, priority_levels: int = 10):
+    def __init__(self, instance: HfsInstance, seed=None, priority_levels: int = 10,
+                 makespans: dict = None):
         if not instance.jobs:
             raise ValueError("cannot build an environment for an empty instance")
         self.instance = instance
+        self._makespans = {} if makespans is None else makespans
+        self._key_dtype = np.uint16 if len(instance.jobs) <= 1 << 16 else np.uint32
         self.type_names = tuple(sorted(instance.type_specs))
         self._code = {name: i for i, name in enumerate(self.type_names)}
         dd = [job.due_day for job in instance.jobs]
@@ -370,7 +378,7 @@ class HfsEnv(Env):
         )
         self._i = 0
         self._priorities = []
-        self.last_schedule = None
+        self._last_perm = None
 
     def _obs(self, i) -> np.ndarray:
         job = self.instance.jobs[i]
@@ -390,9 +398,19 @@ class HfsEnv(Env):
         if self._i < len(self.instance.jobs):
             return self._obs(self._i), 0.0, False
         perm = priorities_to_permutation(self._priorities, self.instance.jobs)
-        self.last_schedule = decode_list_schedule(self.instance, perm)
-        reward = -makespan(self.last_schedule) / 1000.0
-        return np.zeros(len(self.spec.features)), reward, True
+        self._last_perm = perm
+        key = np.array(perm, dtype=self._key_dtype).tobytes()
+        value = self._makespans.get(key)
+        if value is None:
+            value = self._makespans[key] = makespan(decode_list_schedule(self.instance, perm))
+        return np.zeros(len(self.spec.features)), -value / 1000.0, True
+
+    @property
+    def last_schedule(self):
+        """The schedule of the last finished episode (None before one)."""
+        if self._last_perm is None:
+            return None
+        return decode_list_schedule(self.instance, self._last_perm)
 
 
 def hfs_env(instance: HfsInstance, seed=None) -> HfsEnv:

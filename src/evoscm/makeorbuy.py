@@ -34,7 +34,6 @@ pins it.
 
 from __future__ import annotations
 
-import datetime
 import math
 import numbers
 from bisect import bisect_left, bisect_right
@@ -87,7 +86,6 @@ class MakeOrBuyParams:
     late_revenue: float = 50.0
     outsource_cost: float = 30.0
     outsourced_count_on_time: bool = True
-    start_date: datetime.date = datetime.date(2024, 6, 19)
 
     def __post_init__(self):
         for name in ("production_a", "production_b", "production_c",
@@ -109,8 +107,6 @@ class MakeOrBuyParams:
         if not isinstance(self.outsourced_count_on_time, bool):
             raise ValueError("outsourced_count_on_time must be true or false, "
                              f"got {self.outsourced_count_on_time!r}")
-        if not isinstance(self.start_date, datetime.date):
-            raise ValueError(f"start_date must be a date, got {self.start_date!r}")
 
     @classmethod
     def from_settings(cls, settings: dict) -> "MakeOrBuyParams":

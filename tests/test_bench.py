@@ -221,6 +221,28 @@ class TestRunExperiment:
                              for p in sorted(out.iterdir())}
         assert outs[1] == outs[3]
 
+    @pytest.mark.parametrize("algo, params", [("gp", {"population_size": 5}),
+                                              ("eldt", {"population_size": 6})])
+    def test_worker_count_never_changes_policy_artifacts(self, hfs_dataset, tmp_path,
+                                                          algo, params):
+        outs = {}
+        for workers in (1, 2, 4):
+            out = tmp_path / f"w{workers}"
+            run_experiment(ExperimentConfig(problem="hfs", algo=algo, dataset=hfs_dataset,
+                                            budget=30, runs=4, seed=3, out_dir=str(out),
+                                            workers=workers, params=params))
+            outs[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert "best_tree.txt" in outs[1]
+        assert outs[1] == outs[2] == outs[4]
+
+    def test_more_workers_than_runs(self, hfs_dataset, tmp_path):
+        def records(workers):
+            return run_experiment(ExperimentConfig(
+                problem="hfs", algo="ga", dataset=hfs_dataset, budget=20, runs=2,
+                out_dir=str(tmp_path / f"w{workers}"), workers=workers))
+
+        assert records(5) == records(1)
+
     def test_rerun_is_byte_identical(self, mob_dataset, tmp_path):
         def snap(out):
             cfg = ExperimentConfig(problem="makeorbuy", algo="aco",
@@ -282,11 +304,10 @@ class TestRunExperiment:
             assert token in head
 
     def test_unknown_sim_param_rejected(self, hfs_dataset, tmp_path):
-        cfg = ExperimentConfig(problem="hfs", algo="rs", dataset=hfs_dataset,
-                               budget=5, runs=1, out_dir=str(tmp_path / "x"),
-                               sim_params={"gravity": 9.8})
         with pytest.raises(ValueError, match="gravity"):
-            run_experiment(cfg)
+            ExperimentConfig(problem="hfs", algo="rs", dataset=hfs_dataset,
+                             budget=5, runs=1, out_dir=str(tmp_path / "x"),
+                             sim_params={"gravity": 9.8})
 
 
 class TestWriteArtifacts:

@@ -238,11 +238,55 @@ class TestBadSettings:
                             "--sim-params", "travel = 0.2\n", tmp_path)
         assert "travel" in err and "pair" in err
 
+    @pytest.mark.parametrize("text, words", [
+        ("gravity = 9.8\n", ("unknown", "gravity")),
+        ("transport_days = 1, 2\n", ("transport_days", "number")),
+        ("capacity_m = lots\n", ("capacity_m", "number")),
+        ("capacity_e = 0\n", ("capacity_e", ">= 1")),
+        ("assembly_areas = 0\n", ("assembly_areas", ">= 1")),
+        ("transport_days = -1\n", ("transport_days", ">= 0")),
+    ], ids=["unknown-key", "tuple", "non-numeric", "capacity-below-1", "areas-below-1",
+            "negative-transport"])
+    def test_bad_hfs_sim_param(self, hfs_dataset, tmp_path, text, words):
+        err = self.run_with(["--problem", "hfs", "--algo", "gp", "--workers", "2",
+                             "--dataset", hfs_dataset],
+                            "--sim-params", text, tmp_path)
+        assert all(word in err for word in words), err
+
+    def test_unknown_eldt_param(self, hfs_dataset, tmp_path):
+        err = self.run_with(["--problem", "hfs", "--algo", "eldt", "--workers", "2",
+                             "--dataset", hfs_dataset],
+                            "--params", "temperature = 3\n", tmp_path)
+        assert "unknown eldt params" in err and "temperature" in err
+
+    def test_start_date_is_an_unknown_makeorbuy_sim_param(self, mob_dataset, tmp_path):
+        err = self.run_with(["--problem", "makeorbuy", "--algo", "eldt",
+                             "--dataset", mob_dataset],
+                            "--sim-params", "start_date = 2024-06-19\n", tmp_path)
+        assert "unknown" in err and "start_date" in err
+
     def test_greedy_rejects_params(self, hfs_dataset, tmp_path):
         err = self.run_with(["--problem", "hfs", "--algo", "greedy",
                              "--dataset", hfs_dataset],
                             "--params", "temperature = 3\n", tmp_path)
         assert "greedy" in err and "temperature" in err
+
+
+class TestWorkerFailures:
+    """A run that fails on a worker thread ends the campaign with exit 1
+    and one error line, and writes no artifacts."""
+
+    def test_error_raised_in_a_worker(self, tmp_path):
+        dataset = tmp_path / "jobs.csv"
+        dataset.write_text("id,machine_type\n0,LT7\n")  # only a run loads it
+        out = tmp_path / "out"
+        done = run_cli_bounded(["run", "--problem", "hfs", "--algo", "gp",
+                                "--dataset", str(dataset), "--budget", "20",
+                                "--runs", "3", "--workers", "2", "--out", str(out)])
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error:") and "missing columns" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
 
 
 class TestCompareCommand:

@@ -4,8 +4,11 @@ import itertools
 import numpy as np
 import pytest
 
+import evoscm.flowshop
 from evoscm import (
+    BudgetCounter,
     DecisionTree,
+    HfsEnv,
     HfsInstance,
     Job,
     Leaf,
@@ -337,6 +340,47 @@ class TestHfsEnv:
         tree = DecisionTree(Leaf([1.0, 0.0] + [0.0] * 8))
         ret = run_episode(env, tree, lc, np.random.default_rng(0))
         assert ret * env.objective_scale == makespan(env.last_schedule)
+
+    def test_shared_makespans_decode_a_permutation_once(self, monkeypatch):
+        inst = gen_hfs("d3", 10, seed=2)
+        decoded = []
+
+        def counting_decode(instance, perm):
+            decoded.append(list(perm))
+            return decode_list_schedule(instance, perm)
+
+        monkeypatch.setattr(evoscm.flowshop, "decode_list_schedule", counting_decode)
+        makespans = {}
+        budget = BudgetCounter(5)
+        lc = LearningConfig(alpha=0.0, epsilon=0.0)
+        tree = DecisionTree(Leaf([1.0, 0.0] + [0.0] * 8))  # always priority 0
+        returns = []
+        for consumed in (1, 2):
+            env = HfsEnv(inst, seed=0, makespans=makespans)
+            returns.append(run_episode(env, tree, lc, np.random.default_rng(0), budget))
+            assert budget.consumed == consumed
+        assert returns[0] == returns[1]
+        perm = priorities_to_permutation([0] * 10, inst.jobs)
+        assert decoded == [perm] and len(makespans) == 1
+        schedule = env.last_schedule  # the second episode hit the memo
+        assert schedule == decode_list_schedule(inst, perm)
+        assert returns[1] * env.objective_scale == makespan(schedule)
+
+    def test_shared_makespans_keep_each_permutation_apart(self):
+        inst = gen_hfs("d1", 12, seed=0)
+        makespans, rewards = {}, []
+        for priorities in ([0] * 12, [9] * 6 + [0] * 6, [0] * 12):
+            env = HfsEnv(inst, seed=0, makespans=makespans)
+            env.reset()
+            for level in priorities:
+                _, reward, done = env.step(level)
+            perm = priorities_to_permutation(priorities, inst.jobs)
+            assert done and reward == -makespan(decode_list_schedule(inst, perm)) / 1000.0
+            rewards.append(reward)
+        assert rewards[0] != rewards[1] and len(makespans) == 2
+
+    def test_last_schedule_is_none_before_an_episode(self):
+        assert hfs_env(gen_hfs("d1", 4, seed=0), seed=0).last_schedule is None
 
     def test_observation_features(self):
         inst = gen_hfs("d1", 5, seed=3)
