@@ -21,10 +21,10 @@ from pathlib import Path
 from . import datagen
 from .baselines import (SearchSpace, aco_run, check_params, ga_run, gp_evolve, greedy_edd,
                         random_search)
-from .envs import BudgetCounter
+from .envs import BudgetCounter, EnvSpec
 from .evolve import EvolutionConfig, run_eldt
 from .flowshop import CATEGORIES, HfsEnv, decode_list_schedule, makespan
-from .grammar import default_policy_grammar, load_bnf
+from .grammar import Grammar, default_policy_grammar, load_bnf
 from .kvconfig import format_kv
 from .makeorbuy import MakeOrBuyEnv, MakeOrBuyParams, simulate
 from .records import RunRecord
@@ -160,7 +160,7 @@ class ExperimentConfig:
         if self.problem == "makeorbuy":
             MakeOrBuyParams.from_settings(self.sim_params)
         else:
-            _hfs_load_kwargs(self.sim_params)
+            _check_hfs_sim_params(self.sim_params)
         if self.algo == "eldt":
             _eldt_configs(self)
         runner = {"rs": random_search, "ga": ga_run, "aco": aco_run,
@@ -181,9 +181,9 @@ def _eldt_configs(cfg: ExperimentConfig) -> tuple:
             LearningConfig(**{k: v for k, v in cfg.params.items() if k in learning}))
 
 
-def _hfs_load_kwargs(sim_params: dict) -> dict:
-    """``datagen.load_hfs`` keyword arguments from flow-shop ``--sim-params``;
-    an unknown key or a malformed value is a ValueError."""
+def _check_hfs_sim_params(sim_params: dict):
+    """Flow-shop ``--sim-params``: an unknown key or a malformed value is a
+    ValueError. Files they name are read later, by ``load_inputs``."""
     unknown = sorted(set(sim_params) - set(HFS_SIM_PARAMS))
     if unknown:
         raise ValueError(f"unknown hfs sim params: {unknown} "
@@ -199,6 +199,11 @@ def _hfs_load_kwargs(sim_params: dict) -> dict:
             ok, want = isinstance(value, numbers.Integral) and value >= 1, "an integer >= 1"
         if not ok:
             raise ValueError(f"hfs sim param {key} must be {want}, got {value!r}")
+
+
+def _hfs_load_kwargs(sim_params: dict) -> dict:
+    """``datagen.load_hfs`` keyword arguments from checked flow-shop
+    ``--sim-params``, with the ``machine_types`` file read."""
     kwargs = {}
     if any(key.startswith("capacity_") for key in sim_params):
         kwargs["capacities"] = {c: sim_params.get(f"capacity_{c.lower()}", 5)
@@ -212,9 +217,40 @@ def _hfs_load_kwargs(sim_params: dict) -> dict:
     return kwargs
 
 
-def _makeorbuy_setup(cfg: ExperimentConfig):
-    orders = datagen.load_makeorbuy(cfg.dataset)
-    params = MakeOrBuyParams.from_settings(cfg.sim_params)
+@dataclass(frozen=True)
+class CampaignInputs:
+    """A campaign's files, parsed once before any run starts and shared
+    read-only by its runs. Every field pickles."""
+
+    data: object  # the HfsInstance, or the tuple of make-or-buy orders
+    params: MakeOrBuyParams  # make-or-buy simulation parameters; None for hfs
+    rows: tuple  # the environments' observation_rows of ``data``
+    spec: EnvSpec
+    grammar: Grammar  # eldt's policy grammar; None for the other algorithms
+
+
+def load_inputs(cfg: ExperimentConfig) -> CampaignInputs:
+    """Read the dataset, the ``machine_types`` file and the ``--grammar``
+    file; a missing or malformed one is a ValueError (``DataError``)."""
+    if cfg.problem == "makeorbuy":
+        data = tuple(datagen.load_makeorbuy(cfg.dataset))
+        params = MakeOrBuyParams.from_settings(cfg.sim_params)
+        rows = MakeOrBuyEnv.observation_rows(data)
+        spec = MakeOrBuyEnv(data, params, rows=rows).spec
+    else:
+        data = datagen.load_hfs(cfg.dataset, **_hfs_load_kwargs(cfg.sim_params))
+        params = None
+        rows = HfsEnv.observation_rows(data)
+        spec = HfsEnv(data, rows=rows).spec
+    grammar = None
+    if cfg.algo == "eldt":
+        grammar = (load_bnf(cfg.grammar_path) if cfg.grammar_path
+                   else default_policy_grammar(spec))
+    return CampaignInputs(data, params, rows, spec, grammar)
+
+
+def _makeorbuy_setup(inputs: CampaignInputs):
+    orders, params, rows = inputs.data, inputs.params, inputs.rows
 
     def space_builder(counter):
         def score(x, rng):
@@ -224,13 +260,13 @@ def _makeorbuy_setup(cfg: ExperimentConfig):
                            maximize=True, budget=counter)
 
     def env_factory(seed):
-        return MakeOrBuyEnv(orders, params, seed)
+        return MakeOrBuyEnv(orders, params, seed, rows=rows)
 
-    return space_builder, env_factory, None
+    return space_builder, env_factory
 
 
-def _hfs_setup(cfg: ExperimentConfig):
-    instance = datagen.load_hfs(cfg.dataset, **_hfs_load_kwargs(cfg.sim_params))
+def _hfs_setup(inputs: CampaignInputs):
+    instance, rows = inputs.data, inputs.rows
     makespans = {}  # one run's episodes share their decoded makespans
 
     def space_builder(counter):
@@ -241,9 +277,9 @@ def _hfs_setup(cfg: ExperimentConfig):
                            score=score, maximize=False, budget=counter)
 
     def env_factory(seed):
-        return HfsEnv(instance, seed, makespans=makespans)
+        return HfsEnv(instance, seed, makespans=makespans, rows=rows)
 
-    return space_builder, env_factory, instance
+    return space_builder, env_factory
 
 
 def _scale_policy_record(record: RunRecord, scale: float) -> RunRecord:
@@ -258,24 +294,22 @@ def _scale_policy_record(record: RunRecord, scale: float) -> RunRecord:
     return record
 
 
-def _run_one(cfg: ExperimentConfig, seed: int) -> RunRecord:
-    """Run ``seed`` of the campaign on a setup of its own, so that each run
-    has its own flow-shop makespan memo."""
-    space_builder, env_factory, instance = {
-        "makeorbuy": _makeorbuy_setup, "hfs": _hfs_setup}[cfg.problem](cfg)
+def _run_one(cfg: ExperimentConfig, seed: int, inputs: CampaignInputs) -> RunRecord:
+    """Run ``seed`` of the campaign on the shared inputs, with a setup of its
+    own, so that each run has its own flow-shop makespan memo."""
+    space_builder, env_factory = {
+        "makeorbuy": _makeorbuy_setup, "hfs": _hfs_setup}[cfg.problem](inputs)
     algo = cfg.algo
     if algo in POLICY_ALGOS:
         scale = env_factory(0).objective_scale
         if algo == "eldt":
             config, learning = _eldt_configs(cfg)
-            grammar = (load_bnf(cfg.grammar_path) if cfg.grammar_path
-                       else default_policy_grammar(env_factory(0).spec))
-            record = run_eldt(config, grammar, env_factory, seed, learning)
+            record = run_eldt(config, inputs.grammar, env_factory, seed, learning)
         else:
             record = gp_evolve(env_factory, cfg.budget, seed, **cfg.params)
         return _scale_policy_record(record, scale)
     if algo == "greedy":
-        return greedy_edd(instance)
+        return greedy_edd(inputs.data)
     counter = BudgetCounter(cfg.budget)
     space = space_builder(counter)
     runner = {"rs": random_search, "ga": ga_run, "aco": aco_run}[algo]
@@ -285,23 +319,25 @@ def _run_one(cfg: ExperimentConfig, seed: int) -> RunRecord:
 def run_experiment(cfg: ExperimentConfig) -> list:
     """Run the campaign and write artifacts into cfg.out_dir.
 
-    Run i uses seed cfg.seed + i; greedy runs once regardless of ``runs``.
-    Runs are independent (own setup, RNG streams and budget counter), so
-    the thread pool size changes wall time only, never results.
+    The input files are parsed once, before any run starts. Run i uses seed
+    cfg.seed + i; greedy runs once regardless of ``runs``. Runs share only
+    the read-only inputs (each has its own setup, RNG streams and budget
+    counter), so the thread pool size changes wall time only, never results.
     """
+    inputs = load_inputs(cfg)
     n_runs = 1 if cfg.algo == "greedy" else cfg.runs
     seeds = [cfg.seed + i for i in range(n_runs)]
     if cfg.workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(lambda s: _run_one(cfg, s), seeds))
+            records = list(pool.map(lambda s: _run_one(cfg, s, inputs), seeds))
     else:
-        records = [_run_one(cfg, s) for s in seeds]
+        records = [_run_one(cfg, s, inputs) for s in seeds]
     for rec in records:
         rec.problem = cfg.problem
         rec.dataset = cfg.dataset
-    write_artifacts(cfg, records)
+    write_artifacts(cfg, records, inputs.spec)
     return records
 
 
@@ -322,7 +358,9 @@ def _header_lines(cfg: ExperimentConfig) -> list:
     return lines
 
 
-def write_artifacts(cfg: ExperimentConfig, records: list):
+def write_artifacts(cfg: ExperimentConfig, records: list, spec: EnvSpec = None):
+    """Write the campaign's CSV files, and for eldt/gp the best run's pruned
+    tree, labelled by ``spec`` (the campaign's EnvSpec, required then)."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = _header_lines(cfg)
@@ -367,10 +405,8 @@ def write_artifacts(cfg: ExperimentConfig, records: list):
                 best = rec
         pruned = best.artifacts.get("pruned_tree")
         if pruned is not None:
-            if cfg.problem == "makeorbuy":
-                spec = MakeOrBuyEnv(datagen.load_makeorbuy(cfg.dataset)).spec
-            else:
-                spec = HfsEnv(datagen.load_hfs(cfg.dataset)).spec
+            if spec is None:
+                raise ValueError("write_artifacts needs the EnvSpec to label a policy tree")
             names = spec.feature_names
             labels = spec.action_labels
             cats = spec.category_labels

@@ -3,14 +3,17 @@ budget accounting.
 
 An environment exposes ``reset() -> obs`` and ``step(action) -> (obs, reward,
 done)`` plus an ``EnvSpec`` describing its observation features, action count,
-and episode length. Optimizers never touch simulators directly; one episode is
-one simulation execution and is the unit every budget counts.
+and episode length. An observation is a sequence of floats, one per feature
+(a tuple or list of Python floats, not necessarily an ndarray), and a reward
+is a float. Optimizers never touch simulators directly; one episode is one
+simulation execution and is the unit every budget counts.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,10 +103,10 @@ class Env:
     spec: EnvSpec
     objective_scale: float = 1.0
 
-    def reset(self) -> np.ndarray:
+    def reset(self) -> Sequence[float]:
         raise NotImplementedError
 
-    def step(self, action: int):
+    def step(self, action: int) -> tuple[Sequence[float], float, bool]:
         raise NotImplementedError
 
 
@@ -159,20 +162,20 @@ def run_episode(env: Env, tree: DecisionTree, learning: LearningConfig, rng,
         budget.charge(1)
     alpha, gamma, eps = learning.alpha, learning.gamma, learning.epsilon
     learn = alpha != 0.0
-    obs = env.reset()
-    leaf = tree.traverse(obs)
+    traverse, step = tree.traverse, env.step
+    leaf = traverse(env.reset())
     total = 0.0
     for _ in range(env.spec.episode_len):
         action = epsilon_greedy(leaf, eps, rng)
-        obs, reward, done = env.step(action)
+        obs, reward, done = step(action)
         total += reward
         if done:
             if learn:
                 q_update(leaf, action, reward, 0.0, alpha, gamma)
             break
-        nxt = tree.traverse(obs)
+        nxt = traverse(obs)
         if learn:
-            q_update(leaf, action, reward, float(np.max(nxt.q)), alpha, gamma)
+            q_update(leaf, action, reward, max(nxt.q.tolist()), alpha, gamma)
         leaf = nxt
     return total
 
@@ -247,17 +250,17 @@ class ToyThresholdEnv(Env):
         self._x = 0.0
         self._t = 0
 
-    def reset(self) -> np.ndarray:
+    def reset(self) -> list:
         self._t = 0
         self._x = float(self._rng.random())
-        return np.array([self._x])
+        return [self._x]
 
     def step(self, action: int):
         reward = 1.0 if (action == 1) == (self._x > 0.5) else 0.0
         self._t += 1
         done = self._t >= self.spec.episode_len
         self._x = float(self._rng.random())
-        return np.array([self._x]), reward, done
+        return [self._x], reward, done
 
 
 def toy_threshold_env(seed) -> ToyThresholdEnv:

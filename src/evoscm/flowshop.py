@@ -348,19 +348,21 @@ class HfsEnv(Env):
     ``makespans`` maps a packed permutation to its makespan; environments
     that share one dict (one run's episodes) decode each permutation once.
     Only the float is kept, so ``last_schedule`` decodes again on request.
+    ``rows`` are the instance's ``observation_rows``, which environments of
+    one instance may share instead of building their own.
     """
 
     objective_scale = -1000.0
 
     def __init__(self, instance: HfsInstance, seed=None, priority_levels: int = 10,
-                 makespans: dict = None):
+                 makespans: dict = None, rows: tuple = None):
         if not instance.jobs:
             raise ValueError("cannot build an environment for an empty instance")
         self.instance = instance
         self._makespans = {} if makespans is None else makespans
+        self._rows = self.observation_rows(instance) if rows is None else rows
         self._key_dtype = np.uint16 if len(instance.jobs) <= 1 << 16 else np.uint32
         self.type_names = tuple(sorted(instance.type_specs))
-        self._code = {name: i for i, name in enumerate(self.type_names)}
         dd = [job.due_day for job in instance.jobs]
         db = [job.basement_day for job in instance.jobs]
         de = [job.panel_day for job in instance.jobs]
@@ -380,30 +382,35 @@ class HfsEnv(Env):
         self._priorities = []
         self._last_perm = None
 
-    def _obs(self, i) -> np.ndarray:
-        job = self.instance.jobs[i]
-        return np.array([self._code[job.machine_type], job.due_day,
-                         job.basement_day, job.panel_day], dtype=float)
+    @staticmethod
+    def observation_rows(instance: HfsInstance) -> tuple:
+        """Job i's observation as row i: a tuple of Python floats (machine
+        type code in sorted type order, due day, basement day, panel day)."""
+        code = {name: float(i) for i, name in enumerate(sorted(instance.type_specs))}
+        return tuple((code[job.machine_type], float(job.due_day),
+                      float(job.basement_day), float(job.panel_day))
+                     for job in instance.jobs)
 
-    def reset(self) -> np.ndarray:
+    def reset(self) -> tuple:
         self._i = 0
         self._priorities = []
-        return self._obs(0)
+        return self._rows[0]
 
     def step(self, action: int):
-        if not 0 <= int(action) < self.spec.action_count:
+        a = int(action)
+        if not 0 <= a < self.spec.action_count:
             raise ValueError(f"priority {action} outside 0..{self.spec.action_count - 1}")
-        self._priorities.append(int(action))
+        self._priorities.append(a)
         self._i += 1
-        if self._i < len(self.instance.jobs):
-            return self._obs(self._i), 0.0, False
+        if self._i < len(self._rows):
+            return self._rows[self._i], 0.0, False
         perm = priorities_to_permutation(self._priorities, self.instance.jobs)
         self._last_perm = perm
         key = np.array(perm, dtype=self._key_dtype).tobytes()
         value = self._makespans.get(key)
         if value is None:
             value = self._makespans[key] = makespan(decode_list_schedule(self.instance, perm))
-        return np.zeros(len(self.spec.features)), -value / 1000.0, True
+        return (0.0,) * len(self.spec.features), -value / 1000.0, True
 
     @property
     def last_schedule(self):

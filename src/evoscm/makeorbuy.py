@@ -253,15 +253,19 @@ def simulate(orders, decisions, params: MakeOrBuyParams, seed) -> SimOutcome:
 class MakeOrBuyEnv(Env):
     """Episodic wrapper: step i observes order i as (qty_a, qty_b, qty_c,
     days_to_deadline) and decides MAKE (0) or BUY (1). The terminal step runs
-    the simulation on a fresh seed and pays revenue / 100."""
+    the simulation on a fresh seed and pays revenue / 100. ``rows`` are the
+    orders' ``observation_rows``, which environments of one order list may
+    share instead of building their own."""
 
     objective_scale = 100.0
 
-    def __init__(self, orders, params: MakeOrBuyParams = None, seed=None):
+    def __init__(self, orders, params: MakeOrBuyParams = None, seed=None,
+                 rows: tuple = None):
         if not orders:
             raise ValueError("cannot build an environment without orders")
         self.orders = tuple(orders)
         self.params = params if params is not None else MakeOrBuyParams()
+        self._rows = self.observation_rows(self.orders) if rows is None else rows
         self._rng = np.random.default_rng(seed)
         qa = [o.qty_a for o in self.orders]
         qb = [o.qty_b for o in self.orders]
@@ -284,26 +288,30 @@ class MakeOrBuyEnv(Env):
         self._sim_seed = 0
         self.last_outcome = None
 
-    def _obs(self, i) -> np.ndarray:
-        o = self.orders[i]
-        return np.array([o.qty_a, o.qty_b, o.qty_c, o.deadline_day], dtype=float)
+    @staticmethod
+    def observation_rows(orders) -> tuple:
+        """Order i's observation as row i: a tuple of Python floats (qty_a,
+        qty_b, qty_c, deadline day)."""
+        return tuple((float(o.qty_a), float(o.qty_b), float(o.qty_c), float(o.deadline_day))
+                     for o in orders)
 
-    def reset(self) -> np.ndarray:
+    def reset(self) -> tuple:
         self._i = 0
         self._decisions = []
         self._sim_seed = int(self._rng.integers(2**63 - 1))
-        return self._obs(0)
+        return self._rows[0]
 
     def step(self, action: int):
-        if int(action) not in (MAKE, BUY):
+        a = int(action)
+        if a not in (MAKE, BUY):
             raise ValueError(f"action must be 0 (MAKE) or 1 (BUY), got {action}")
-        self._decisions.append(int(action))
+        self._decisions.append(a)
         self._i += 1
-        if self._i < len(self.orders):
-            return self._obs(self._i), 0.0, False
+        if self._i < len(self._rows):
+            return self._rows[self._i], 0.0, False
         self.last_outcome = simulate(self.orders, self._decisions,
                                      self.params, self._sim_seed)
-        return (np.zeros(len(self.spec.features)),
+        return ((0.0,) * len(self.spec.features),
                 self.last_outcome.revenue / 100.0, True)
 
 

@@ -44,9 +44,10 @@ class Condition:
             raise ValueError("feature index must be >= 0")
 
     def test(self, obs) -> bool:
+        """``obs`` holds Python floats (``DecisionTree.traverse`` converts an ndarray)."""
         if self.op == NUMERIC_GT:
-            return bool(obs[self.feature] > self.value)
-        return bool(obs[self.feature] == self.value)
+            return obs[self.feature] > self.value
+        return obs[self.feature] == self.value
 
     def describe(self, feature_names=None, categories=None) -> str:
         name = f"x{self.feature}" if feature_names is None else feature_names[self.feature]
@@ -72,8 +73,16 @@ class Leaf:
 
     @property
     def action(self) -> int:
-        """Greedy action: argmax of q, ties to the lowest index."""
-        return int(np.argmax(self.q))
+        """Greedy action: argmax of q, ties to the lowest index.
+
+        A leaf whose q is None (not yet initialised) acts 0 on purpose, so
+        that trees whose leaves hold no Q-values yet compare by shape and
+        conditions alone in ``structurally_equal``.
+        """
+        if self.q is None:
+            return 0
+        q = self.q.tolist()
+        return q.index(max(q))
 
     def copy(self) -> "Leaf":
         out = Leaf(self.q, self.visits)
@@ -100,7 +109,10 @@ class DecisionTree:
         self.root = root
 
     def traverse(self, obs) -> Leaf:
-        """Route obs to its leaf and increment that leaf's visit counter."""
+        """Route obs (a sequence of floats; an ndarray is converted to one)
+        to its leaf and increment that leaf's visit counter."""
+        if isinstance(obs, np.ndarray):
+            obs = obs.tolist()
         node = self.root
         while isinstance(node, Split):
             node = node.yes if node.condition.test(obs) else node.no
@@ -182,9 +194,12 @@ def q_update(leaf: Leaf, action: int, reward: float, max_next_q: float,
     Q(s,a) <- (1 - alpha) * Q(s,a) + alpha * (reward + gamma * max_next_q)
 
     Returns the new Q-value. ``max_next_q`` must be 0 on terminal steps.
+    The arithmetic is on Python floats, which round exactly as numpy's
+    float64 scalars do.
     """
-    new = (1.0 - alpha) * leaf.q[action] + alpha * (reward + gamma * max_next_q)
-    leaf.q[action] = new
+    q = leaf.q
+    new = (1.0 - alpha) * q.item(action) + alpha * (reward + gamma * max_next_q)
+    q[action] = new
     leaf.updates[action] += 1
     return float(new)
 

@@ -4,7 +4,8 @@ Everything here is deliberately written with a different mechanism than the
 code under test: one scheduler scans integer time cells, another re-sorts
 every placed interval into an event sweep for each phase instead of keeping
 capacity profiles, the make-or-buy simulator makes one tape method call per
-uniform and searches arrival lists with ``np.searchsorted``, the rank-sum
+uniform and searches arrival lists with ``np.searchsorted``, the policy step
+runs on numpy scalars over a fresh observation array per step, the rank-sum
 p-value enumerates labelings directly, and the Bellman step is recomputed
 from the raw formula. Keep these naive and slow.
 """
@@ -15,7 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from evoscm.makeorbuy import BUY, MAKE, SimOutcome, revenue
+from evoscm.flowshop import HfsEnv
+from evoscm.makeorbuy import BUY, MAKE, MakeOrBuyEnv, SimOutcome, revenue
+from evoscm.tree import NUMERIC_GT, Split
 
 
 def bellman_oracle(q, alpha, reward, gamma, max_next):
@@ -321,6 +324,98 @@ def simulate_oracle(orders, decisions, params, seed):
     return SimOutcome(n_on_time=n_on_time, n_late=n_late,
                       n_outsourced=n_outsourced, revenue=total,
                       completion_day=completion)
+
+
+# policy-step oracle: numpy scalars over ndarray observations ---------------
+
+class NdarrayObsEnv:
+    """Wraps an environment so that every observation is a fresh float
+    ndarray: for ``HfsEnv`` and ``MakeOrBuyEnv`` rebuilt from the job or
+    order, as their ``_obs`` did before they served rows of floats, and for
+    any other environment converted from the row it serves."""
+
+    def __init__(self, env):
+        self.env = env
+        self.spec = env.spec
+        self.objective_scale = env.objective_scale
+        self._i = 0
+
+    def _obs(self, i, row) -> np.ndarray:
+        env = self.env
+        if isinstance(env, HfsEnv):
+            code = {name: i for i, name in enumerate(env.type_names)}
+            job = env.instance.jobs[i]
+            return np.array([code[job.machine_type], job.due_day,
+                             job.basement_day, job.panel_day], dtype=float)
+        if isinstance(env, MakeOrBuyEnv):
+            o = env.orders[i]
+            return np.array([o.qty_a, o.qty_b, o.qty_c, o.deadline_day], dtype=float)
+        return np.array(row, dtype=float)
+
+    def reset(self) -> np.ndarray:
+        self._i = 0
+        return self._obs(0, self.env.reset())
+
+    def step(self, action):
+        row, reward, done = self.env.step(action)
+        self._i += 1
+        if done:
+            return np.zeros(len(self.spec.features)), reward, True
+        return self._obs(self._i, row), reward, False
+
+
+def _condition_test_oracle(condition, obs) -> bool:
+    if condition.op == NUMERIC_GT:
+        return bool(obs[condition.feature] > condition.value)
+    return bool(obs[condition.feature] == condition.value)
+
+
+def traverse_oracle(tree, obs):
+    node = tree.root
+    while isinstance(node, Split):
+        node = node.yes if _condition_test_oracle(node.condition, obs) else node.no
+    node.visits += 1
+    return node
+
+
+def epsilon_greedy_oracle(leaf, epsilon, rng) -> int:
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return int(rng.integers(0, len(leaf.q)))
+    return int(np.argmax(leaf.q))
+
+
+def q_update_oracle(leaf, action, reward, max_next_q, alpha, gamma) -> float:
+    new = (1.0 - alpha) * leaf.q[action] + alpha * (reward + gamma * max_next_q)
+    leaf.q[action] = new
+    leaf.updates[action] += 1
+    return float(new)
+
+
+def run_episode_oracle(env, tree, learning, rng, budget=None) -> float:
+    """``envs.run_episode`` with every step on numpy: ``np.argmax``/``np.max``
+    over the leaf's Q-array, comparisons on numpy scalars and a Q-update in
+    float64 scalars. Wrap ``env`` in ``NdarrayObsEnv`` for the observations
+    environments served as ndarrays."""
+    if budget is not None:
+        budget.charge(1)
+    alpha, gamma, eps = learning.alpha, learning.gamma, learning.epsilon
+    learn = alpha != 0.0
+    obs = env.reset()
+    leaf = traverse_oracle(tree, obs)
+    total = 0.0
+    for _ in range(env.spec.episode_len):
+        action = epsilon_greedy_oracle(leaf, eps, rng)
+        obs, reward, done = env.step(action)
+        total += reward
+        if done:
+            if learn:
+                q_update_oracle(leaf, action, reward, 0.0, alpha, gamma)
+            break
+        nxt = traverse_oracle(tree, obs)
+        if learn:
+            q_update_oracle(leaf, action, reward, float(np.max(nxt.q)), alpha, gamma)
+        leaf = nxt
+    return total
 
 
 # rank-sum oracle: direct labeling enumeration ------------------------------

@@ -1,11 +1,15 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from evoscm import (
+    Condition,
+    DecisionTree,
     ExperimentConfig,
+    Leaf,
     RunRecord,
     aggregate,
     compare_dirs,
@@ -14,11 +18,13 @@ from evoscm import (
     gen_makeorbuy,
     run_experiment,
     save_hfs,
+    Split,
     save_makeorbuy,
     wilcoxon_rank_sum,
     write_artifacts,
 )
-from evoscm.datagen import DataError
+from evoscm.bench import load_inputs
+from evoscm.datagen import DataError, default_machine_types
 
 from oracles import ranksum_p_oracle
 
@@ -310,7 +316,35 @@ class TestRunExperiment:
                              sim_params={"gravity": 9.8})
 
 
+class TestLoadInputs:
+    @pytest.mark.parametrize("problem", ["hfs", "makeorbuy"])
+    def test_inputs_survive_pickling(self, problem, hfs_dataset, mob_dataset, tmp_path):
+        dataset = hfs_dataset if problem == "hfs" else mob_dataset
+        cfg = ExperimentConfig(problem=problem, algo="eldt", dataset=dataset,
+                               budget=3, runs=1, out_dir=str(tmp_path))
+        inputs = load_inputs(cfg)
+        assert pickle.loads(pickle.dumps(inputs)) == inputs
+        assert len(inputs.rows) == inputs.spec.episode_len
+        assert inputs.grammar is not None
+
+
 class TestWriteArtifacts:
+    def test_tree_labels_come_from_the_campaign_machine_types(self, hfs_dataset, tmp_path):
+        # "AA" sorts before every default type, so it takes category code 0
+        types = tmp_path / "types.csv"
+        rows = ["machine_type,phase_index,category,duration_days"]
+        for name, phases in [*default_machine_types().items(), ("AA", [("M", 1.0)])]:
+            rows += [f"{name},{i},{cat},{days}" for i, (cat, days) in enumerate(phases)]
+        types.write_text("\n".join(rows) + "\n")
+        cfg = ExperimentConfig(problem="hfs", algo="gp", dataset=hfs_dataset, budget=1,
+                               runs=1, out_dir=str(tmp_path / "out"),
+                               sim_params={"machine_types": str(types)})
+        tree = DecisionTree(Split(Condition(0, "==", 0.0), Leaf([1.0, 0.0]), Leaf([0.0, 1.0])))
+        rec = make_record("gp", 0, [1.0])
+        rec.artifacts = {"pruned_tree": tree}
+        write_artifacts(cfg, [rec], load_inputs(cfg).spec)
+        assert "if machine_type == AA:" in (tmp_path / "out" / "best_tree.txt").read_text()
+
     def test_summary_contents(self, tmp_path):
         cfg = ExperimentConfig(problem="hfs", algo="rs", dataset="jobs.csv",
                                budget=3, runs=2, out_dir=str(tmp_path))

@@ -272,19 +272,92 @@ class TestBadSettings:
         assert "greedy" in err and "temperature" in err
 
 
+class TestInputFiles:
+    """The dataset, the machine_types file and the --grammar file are read
+    once per campaign, before any run: a bad one exits 1 with one error line
+    and no run starts."""
+
+    @pytest.fixture()
+    def runs_started(self, monkeypatch):
+        started = []
+
+        def run(*args, **kwargs):
+            started.append(args)
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(evoscm.bench, "run_eldt", run)
+        monkeypatch.setattr(evoscm.bench, "gp_evolve", run)
+        return started
+
+    def run_bad(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(["run", *argv, "--budget", "20", "--runs", "3",
+                        "--workers", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+        return err
+
+    def test_malformed_grammar(self, mob_dataset, tmp_path, capsys, runs_started):
+        grammar = tmp_path / "policy.bnf"
+        grammar.write_text("<policy> ::= <policy>\n<leaf> ::=\n")
+        err = self.run_bad(["--problem", "makeorbuy", "--algo", "eldt",
+                            "--dataset", mob_dataset, "--grammar", str(grammar)],
+                           tmp_path, capsys)
+        assert "<leaf>" in err
+        assert runs_started == []
+
+    @pytest.mark.parametrize("algo", ["eldt", "gp"])
+    def test_malformed_dataset(self, tmp_path, capsys, runs_started, algo):
+        dataset = tmp_path / "jobs.csv"
+        dataset.write_text("id,machine_type\n0,LT7\n")
+        err = self.run_bad(["--problem", "hfs", "--algo", algo, "--dataset", str(dataset)],
+                           tmp_path, capsys)
+        assert "missing columns" in err
+        assert runs_started == []
+
+    def test_malformed_machine_types(self, hfs_dataset, tmp_path, capsys, runs_started):
+        types = tmp_path / "types.csv"
+        types.write_text("machine_type,phase_index\nLT7,0\n")
+        settings = tmp_path / "sim.kv"
+        settings.write_text(f"machine_types = {types}\n")
+        err = self.run_bad(["--problem", "hfs", "--algo", "gp", "--dataset", hfs_dataset,
+                            "--sim-params", str(settings)], tmp_path, capsys)
+        assert "missing columns" in err
+        assert runs_started == []
+
+    def test_campaign_loads_the_dataset_once(self, hfs_dataset, tmp_path, monkeypatch):
+        loads = []
+        load_hfs = evoscm.datagen.load_hfs
+
+        def counted(*args, **kwargs):
+            loads.append(args)
+            return load_hfs(*args, **kwargs)
+
+        monkeypatch.setattr(evoscm.datagen, "load_hfs", counted)
+        code = run_cli(["run", "--problem", "hfs", "--algo", "gp", "--dataset", hfs_dataset,
+                        "--budget", "6", "--runs", "3", "--workers", "2",
+                        "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert len(loads) == 1
+
+
 class TestWorkerFailures:
     """A run that fails on a worker thread ends the campaign with exit 1
     and one error line, and writes no artifacts."""
 
-    def test_error_raised_in_a_worker(self, tmp_path):
-        dataset = tmp_path / "jobs.csv"
-        dataset.write_text("id,machine_type\n0,LT7\n")  # only a run loads it
+    def test_error_raised_in_a_worker(self, mob_dataset, tmp_path):
+        # the grammar parses, but only a run's decode finds the unknown feature
+        grammar = tmp_path / "policy.bnf"
+        grammar.write_text("<dt> ::= if gravity > 1 then leaf else leaf\n")
         out = tmp_path / "out"
-        done = run_cli_bounded(["run", "--problem", "hfs", "--algo", "gp",
-                                "--dataset", str(dataset), "--budget", "20",
-                                "--runs", "3", "--workers", "2", "--out", str(out)])
+        done = run_cli_bounded(["run", "--problem", "makeorbuy", "--algo", "eldt",
+                                "--dataset", mob_dataset, "--grammar", str(grammar),
+                                "--budget", "20", "--runs", "3", "--workers", "2",
+                                "--out", str(out)])
         assert done.returncode == 1, done.stderr
-        assert done.stderr.startswith("error:") and "missing columns" in done.stderr
+        assert done.stderr.startswith("error:") and "gravity" in done.stderr
         assert "Traceback" not in done.stderr
         assert not out.exists()
 

@@ -15,11 +15,17 @@ from evoscm import (
     LearningConfig,
     PENALTY_FITNESS,
     Split,
+    HfsEnv,
+    MakeOrBuyEnv,
     ToyThresholdEnv,
     evaluate_fitness,
+    gen_hfs,
+    gen_makeorbuy,
     greedy_rollout,
     run_episode,
 )
+from evoscm.tree import CATEGORY_EQ, NUMERIC_GT
+from oracles import NdarrayObsEnv, run_episode_oracle
 
 
 class ConstRewardEnv(Env):
@@ -184,6 +190,67 @@ class TestRunEpisode:
         with pytest.raises(BudgetExhausted):
             run_episode(ConstRewardEnv(), leaf_tree(), LearningConfig(),
                         np.random.default_rng(0), b)
+
+
+def full_tree(spec, depth=3, level=0):
+    """A complete tree splitting on feature ``level % n`` at each level: a
+    numeric feature at the middle grammar threshold, a categorical one on
+    category ``level % len(categories)``."""
+    if level == depth:
+        return Leaf()
+    feature = spec.features[level % len(spec.features)]
+    index = level % len(spec.features)
+    if feature.categories is not None:
+        cond = Condition(index, CATEGORY_EQ, float(level % len(feature.categories)))
+    else:
+        thresholds = feature.grammar_thresholds()
+        cond = Condition(index, NUMERIC_GT, thresholds[len(thresholds) // 2])
+    return Split(cond, full_tree(spec, depth, level + 1), full_tree(spec, depth, level + 1))
+
+
+STEP_ENVS = {
+    "toy": lambda seed: ToyThresholdEnv(seed=seed),
+    "makeorbuy": lambda seed: MakeOrBuyEnv(gen_makeorbuy(30, seed=4), seed=seed),
+    "hfs": lambda seed: HfsEnv(gen_hfs("d1", 30, seed=2), seed),
+}
+
+
+class TestRunEpisodeMatchesOracle:
+    """The step loop on Python floats gives bit for bit what the numpy step
+    loop gave: returns, Q-arrays, update and visit counts, and RNG state."""
+
+    @pytest.mark.parametrize("kind", sorted(STEP_ENVS))
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05, 1.0])
+    def test_same_episodes(self, kind, alpha, epsilon):
+        make_env = STEP_ENVS[kind]
+        lc = LearningConfig(alpha=alpha, gamma=0.9, epsilon=epsilon)
+        for seed in range(3):
+            tree = DecisionTree(full_tree(make_env(0).spec))
+            tree.init_leaves(make_env(0).spec.action_count, np.random.default_rng(seed))
+            ref = tree.copy()
+            rng, ref_rng = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+            env, ref_env = make_env(seed), NdarrayObsEnv(make_env(seed))
+            for _ in range(3):
+                got = run_episode(env, tree, lc, rng)
+                want = run_episode_oracle(ref_env, ref, lc, ref_rng)
+                assert got == want
+            for leaf, ref_leaf in zip(tree.leaves(), ref.leaves()):
+                assert np.array_equal(leaf.q, ref_leaf.q)
+                assert np.array_equal(leaf.updates, ref_leaf.updates)
+                assert leaf.visits == ref_leaf.visits
+            assert sum(leaf.visits for leaf in tree.leaves()) > 0
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_rows_equal_the_ndarray_observations(self):
+        for kind in ("makeorbuy", "hfs"):
+            env, ref = STEP_ENVS[kind](0), NdarrayObsEnv(STEP_ENVS[kind](0))
+            rows, arrays = [env.reset()], [ref.reset()]
+            for _ in range(env.spec.episode_len - 1):
+                rows.append(env.step(0)[0])
+                arrays.append(ref.step(0)[0])
+            assert all(type(x) is float for row in rows for x in row)
+            assert np.array_equal(np.array(rows), np.array(arrays))
 
 
 class TestEvaluateFitness:

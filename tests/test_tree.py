@@ -142,6 +142,26 @@ class TestQUpdate:
         assert list(leaf.updates) == [0, 1]
 
 
+class TestLeafAction:
+    def test_leaf_without_q_acts_zero(self):
+        assert Leaf().action == 0
+
+    def test_uninitialised_trees_compare_by_structure(self):
+        cond = Condition(0, ">", 1.0)
+        a = DecisionTree(Split(cond, Leaf(), Leaf()))
+        b = DecisionTree(Split(cond, Leaf(), Leaf()))
+        assert structurally_equal(a, b)
+        assert not structurally_equal(a, DecisionTree(Split(Condition(0, ">", 2.0),
+                                                             Leaf(), Leaf())))
+
+    def test_matches_numpy_argmax(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 10):
+            for _ in range(200):
+                q = rng.integers(-2, 3, size=n).astype(float)  # frequent ties
+                assert make_leaf(q).action == int(np.argmax(q))
+
+
 class TestPrune:
     def test_unvisited_false_child_collapses_to_true_child(self):
         tree, buy, make = ab_tree()
