@@ -18,11 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import BudgetCounter, evaluate_fitness, greedy_rollout
+from .envs import BudgetCounter
+# Unused here, but tracers look these names up on this module.
+from .envs import evaluate_fitness, greedy_rollout  # noqa: F401
+from .evolve import (Individual, PolicySearch, crossover_one_point, replace_steady_state,
+                     select_parent)
 from .flowshop import HfsInstance, decode_list_schedule, makespan
 from .records import BestTrace, RunRecord
-from .tree import (Condition, DecisionTree, LearningConfig, Leaf, Split,
-                   prune_unreached, to_oneline)
+from .tree import Condition, DecisionTree, LearningConfig, Leaf, Split
 
 
 @dataclass
@@ -117,9 +120,15 @@ def _checked(runner):
     return wrapper
 
 
+def _check_budget(budget: int):
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+
+
 def random_search(space: SearchSpace, budget: int, seed) -> RunRecord:
     """Uniform sampling: fresh bits / unbiased shuffles, exactly ``budget``
     evaluations."""
+    _check_budget(budget)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     trace = BestTrace(maximize=space.maximize)
@@ -149,14 +158,6 @@ def _swap_mutation(x, prob, rng):
     return out
 
 
-def _one_point_binary(a, b, rng):
-    if len(a) < 2:
-        return np.array(a, copy=True), np.array(b, copy=True)
-    cut = int(rng.integers(1, len(a)))
-    return (np.concatenate([a[:cut], b[cut:]]),
-            np.concatenate([b[:cut], a[cut:]]))
-
-
 def order_crossover(a, b, rng):
     """OX: keep a random slice of each parent, fill the rest in the other
     parent's cyclic order. Children are always valid permutations."""
@@ -178,15 +179,6 @@ def order_crossover(a, b, rng):
     return child(a, b), child(b, a)
 
 
-def _tournament(scored: list, k: int, better, rng):
-    idxs = rng.integers(0, len(scored), size=k)
-    best = None
-    for i in sorted(int(v) for v in idxs):
-        if best is None or better(scored[i][1], scored[best][1]):
-            best = i
-    return scored[best][0]
-
-
 @_checked
 def ga_run(space: SearchSpace, budget: int, seed, *, population_size: int = 50,
            crossover_prob: float = 0.9, tournament_size: int = 3,
@@ -194,53 +186,46 @@ def ga_run(space: SearchSpace, budget: int, seed, *, population_size: int = 50,
     """Genetic algorithm over the search space.
 
     Binary: one-point crossover and per-bit flips (default 1/n). Permutation:
-    order crossover and a single random swap. Tournament selection with
-    elitist truncation replacement over parents + offspring. The final
-    generation truncates so the budget is consumed exactly.
+    order crossover and a single random swap. ``evolve``'s tournament
+    selection and elitist steady-state replacement, on fitness signed so
+    that larger is better. The final generation truncates so the budget is consumed
+    exactly.
     """
+    _check_budget(budget)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     if flip_prob is None:
         flip_prob = 1.0 / space.size
+    sign = 1.0 if space.maximize else -1.0
     trace = BestTrace(maximize=space.maximize)
 
-    def evaluate(x):
+    def evaluate(x) -> Individual:
         f = space.evaluate(x, rng)
         trace.record(f, 1, payload=x)
-        return (x, f)
+        return Individual(x, sign * f)
 
-    remaining = budget
-    population = []
-    for _ in range(min(population_size, remaining)):
-        population.append(evaluate(space.random_candidate(rng)))
-        remaining -= 1
+    population = [evaluate(space.random_candidate(rng))
+                  for _ in range(min(population_size, budget))]
+    remaining = budget - len(population)
     while remaining > 0:
         offspring = []
         while len(offspring) < population_size and remaining > len(offspring):
-            p1 = _tournament(population, tournament_size, space.better, rng)
-            p2 = _tournament(population, tournament_size, space.better, rng)
+            c1 = select_parent(population, tournament_size, rng).genotype
+            c2 = select_parent(population, tournament_size, rng).genotype
             if rng.random() < crossover_prob:
-                if space.kind == "binary":
-                    c1, c2 = _one_point_binary(p1, p2, rng)
-                else:
-                    c1, c2 = order_crossover(p1, p2, rng)
-            else:
-                c1, c2 = np.array(p1, copy=True), np.array(p2, copy=True)
+                if space.kind == "permutation":
+                    c1, c2 = order_crossover(c1, c2, rng)
+                elif space.size >= 2:
+                    c1, c2 = crossover_one_point(c1, c2, rng)
             for c in (c1, c2):
                 if len(offspring) < population_size:
                     if space.kind == "binary":
                         offspring.append(_flip_mutation(c, flip_prob, rng))
                     else:
                         offspring.append(_swap_mutation(c, swap_prob, rng))
-        scored = []
-        for c in offspring:
-            if remaining == 0:
-                break
-            scored.append(evaluate(c))
-            remaining -= 1
-        merged = population + scored
-        merged.sort(key=lambda xf: xf[1], reverse=space.maximize)
-        population = merged[:population_size]
+        scored = [evaluate(c) for c in offspring[:remaining]]
+        remaining -= len(scored)
+        population = replace_steady_state(population, scored)
     return RunRecord(
         algo="ga", seed=seed, trace=trace.values,
         final_objective=trace.best,
@@ -297,6 +282,7 @@ def aco_run(space: SearchSpace, budget: int, seed, *, colony_size: int = 20,
     to [tau_min, tau_max]. The last colony truncates to consume the budget
     exactly.
     """
+    _check_budget(budget)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     trace = BestTrace(maximize=space.maximize)
@@ -391,12 +377,6 @@ def _ramped_population(spec, rng, size: int, depths=(2, 4)) -> list:
     return out
 
 
-def _node_count(node) -> int:
-    if isinstance(node, Leaf):
-        return 1
-    return 1 + _node_count(node.yes) + _node_count(node.no)
-
-
 def _replace_at(node, target: int, counter: list, replacement):
     """Replace the pre-order ``target``-th node (counting from 0)."""
     if counter[0] == target:
@@ -412,51 +392,25 @@ def _replace_at(node, target: int, counter: list, replacement):
     return Split(node.condition, node.yes, no), hit
 
 
-def _subtree_at(node, target: int, counter: list):
-    if counter[0] == target:
-        return node
-    counter[0] += 1
-    if isinstance(node, Leaf):
-        return None
-    found = _subtree_at(node.yes, target, counter)
-    if found is not None:
-        return found
-    return _subtree_at(node.no, target, counter)
-
-
-def _copy_node(node):
-    if isinstance(node, Leaf):
-        return node.copy()
-    return Split(node.condition, _copy_node(node.yes), _copy_node(node.no))
-
-
-def _depth(node) -> int:
-    if isinstance(node, Leaf):
-        return 0
-    return 1 + max(_depth(node.yes), _depth(node.no))
-
-
 def subtree_crossover(a: DecisionTree, b: DecisionTree, rng,
                       max_depth: int = 6) -> DecisionTree:
     """Graft a random subtree of b onto a random point of a; offspring past
     the depth cap revert to a copy of a."""
-    target = int(rng.integers(0, _node_count(a.root)))
-    donor_idx = int(rng.integers(0, _node_count(b.root)))
-    donor = _copy_node(_subtree_at(b.root, donor_idx, [0]))
-    root, _ = _replace_at(_copy_node(a.root), target, [0], donor)
-    if _depth(root) > max_depth:
-        return DecisionTree(_copy_node(a.root))
-    return DecisionTree(root)
+    target = int(rng.integers(0, len(list(a.nodes()))))
+    donors = list(b.nodes())  # pre-order, like _replace_at's count
+    donor = DecisionTree(donors[int(rng.integers(0, len(donors)))]).copy().root
+    root, _ = _replace_at(a.copy().root, target, [0], donor)
+    child = DecisionTree(root)
+    return a.copy() if child.depth() > max_depth else child
 
 
 def subtree_mutation(a: DecisionTree, spec, rng, max_depth: int = 6) -> DecisionTree:
     """Replace a random node with a freshly grown subtree (depth <= 2)."""
-    target = int(rng.integers(0, _node_count(a.root)))
+    target = int(rng.integers(0, len(list(a.nodes()))))
     fresh = _grow(spec, rng, 2, full=False)
-    root, _ = _replace_at(_copy_node(a.root), target, [0], fresh)
-    if _depth(root) > max_depth:
-        return DecisionTree(_copy_node(a.root))
-    return DecisionTree(root)
+    root, _ = _replace_at(a.copy().root, target, [0], fresh)
+    child = DecisionTree(root)
+    return a.copy() if child.depth() > max_depth else child
 
 
 @_checked
@@ -468,78 +422,34 @@ def gp_evolve(env_factory, budget: int, seed, *, population_size: int = 30,
 
     The control for "does the Q-learning inside ELDT matter": same tree
     language, same fitness, but leaves are fixed actions and learning is off
-    (alpha=0, epsilon=0). Steady-state replacement, exact episode budget with
-    the same partial-quota truncation as run_eldt.
+    (alpha=0, epsilon=0). ELDT's selection, replacement and budget
+    accounting (``PolicySearch``); only initialisation and variation differ.
     """
-    t0 = time.perf_counter()
-    spec = env_factory(0).spec
-    e = episodes_per_eval or (3 if spec.stochastic else 1)
-    learning = LearningConfig(alpha=0.0, epsilon=0.0)
-    counter = BudgetCounter(budget)
-    trace = BestTrace(maximize=True)
+    search = PolicySearch(env_factory, budget, seed, LearningConfig(alpha=0.0, epsilon=0.0),
+                          episodes_per_eval)
+    spec = search.spec
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x69EE)))
 
-    scored = []  # (tree, fitness), best first after each merge
-
-    def evaluate(tree, generation, index):
-        stream = np.random.default_rng(np.random.SeedSequence((seed, generation, index)))
-        quota = min(e, counter.remaining)
-        before = counter.consumed
-        f = evaluate_fitness(tree, env_factory, quota, stream, learning, counter)
-        trace.record(f, counter.consumed - before, payload=tree)
-        return (tree, f)
-
     generation = 0
-    for index, tree in enumerate(_ramped_population(spec, rng, population_size)):
-        if counter.remaining == 0:
-            break
-        scored.append(evaluate(tree, generation, index))
-    while counter.remaining > 0:
+    population = search.evaluate_in_order(
+        [Individual(None, tree=t) for t in _ramped_population(spec, rng, population_size)],
+        generation)
+    while search.budget.remaining > 0:
         generation += 1
         offspring = []
         while len(offspring) < population_size:
-            p1 = _tournament(scored, tournament_size, lambda a, b: a > b, rng)
-            p2 = _tournament(scored, tournament_size, lambda a, b: a > b, rng)
+            p1 = select_parent(population, tournament_size, rng).tree
+            p2 = select_parent(population, tournament_size, rng).tree
             if rng.random() < crossover_prob:
                 child = subtree_crossover(p1, p2, rng, max_depth)
             else:
-                child = DecisionTree(_copy_node(p1.root))
+                child = p1.copy()
             if rng.random() < mutation_prob:
                 child = subtree_mutation(child, spec, rng, max_depth)
-            offspring.append(child)
-        fresh = []
-        for index, child in enumerate(offspring):
-            if counter.remaining == 0:
-                break
-            fresh.append(evaluate(child, generation, index))
-        merged = scored + fresh
-        merged.sort(key=lambda tf: -tf[1])
-        scored = merged[:population_size]
-
-    best_tree = trace.best_payload
-    artifacts = {}
-    solution = ""
-    if best_tree is not None:
-        best_tree.reset_visits()
-        obs_log, act_log, rets = greedy_rollout(
-            best_tree, env_factory, e, np.random.SeedSequence((seed, 0xF1A1)))
-        pruned = prune_unreached(best_tree)
-        artifacts = {
-            "tree": best_tree,
-            "pruned_tree": pruned,
-            "rollout_observations": obs_log,
-            "rollout_actions": act_log,
-            "rollout_returns": rets,
-        }
-        solution = to_oneline(pruned, spec.feature_names, spec.action_labels,
-                              spec.category_labels)
-    return RunRecord(
-        algo="gp", seed=seed, trace=trace.values,
-        final_objective=trace.best if trace.best is not None else float("-inf"),
-        solution=solution, episodes=counter.consumed,
-        params={"budget": budget, "population_size": population_size,
-                "crossover_prob": crossover_prob, "mutation_prob": mutation_prob,
-                "tournament_size": tournament_size, "max_depth": max_depth,
-                "episodes_per_eval": e},
-        wall_time=time.perf_counter() - t0,
-        artifacts=artifacts)
+            offspring.append(Individual(None, tree=child))
+        population = replace_steady_state(
+            population, search.evaluate_in_order(offspring, generation))
+    return search.record("gp", {"budget": budget, "population_size": population_size,
+                                "crossover_prob": crossover_prob,
+                                "mutation_prob": mutation_prob,
+                                "tournament_size": tournament_size, "max_depth": max_depth})

@@ -155,6 +155,8 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.problem == "makeorbuy" and self.algo == "greedy":
             raise ValueError("greedy EDD is a flow-shop heuristic; use --problem hfs")
+        if self.grammar_path is not None and self.algo != "eldt":
+            raise ValueError(f"a grammar file applies to eldt only, not {self.algo}")
         if self.algo == "greedy" and self.params:
             raise ValueError(f"greedy takes no params, got {sorted(self.params)}")
         if self.problem == "makeorbuy":

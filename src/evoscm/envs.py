@@ -20,8 +20,6 @@ import numpy as np
 
 from .tree import DecisionTree, LearningConfig, epsilon_greedy, q_update
 
-PENALTY_FITNESS = -1.0e9
-
 
 @dataclass(frozen=True)
 class FeatureSpec:
@@ -180,20 +178,16 @@ def run_episode(env: Env, tree: DecisionTree, learning: LearningConfig, rng,
     return total
 
 
-def evaluate_fitness(tree, env_factory, episodes: int, rng,
+def evaluate_fitness(tree: DecisionTree, env_factory, episodes: int, rng,
                      learning: LearningConfig = None,
-                     budget: BudgetCounter = None,
-                     penalty: float = PENALTY_FITNESS) -> float:
+                     budget: BudgetCounter = None) -> float:
     """Mean return over ``episodes`` fresh episodes (compensated summation).
 
     ``env_factory(seed)`` must build a fresh environment; learning stays on
-    across the episodes of one evaluation. A tree of None marks a failed
-    decode: the penalty fitness is returned and nothing is charged. If the
-    budget runs out mid-evaluation the mean covers the episodes actually run;
-    if none can run, BudgetExhausted propagates.
+    across the episodes of one evaluation. If the budget runs out
+    mid-evaluation the mean covers the episodes actually run; if none can
+    run, BudgetExhausted propagates.
     """
-    if tree is None:
-        return penalty
     if learning is None:
         learning = LearningConfig()
     if episodes < 1:
@@ -261,7 +255,3 @@ class ToyThresholdEnv(Env):
         done = self._t >= self.spec.episode_len
         self._x = float(self._rng.random())
         return [self._x], reward, done
-
-
-def toy_threshold_env(seed) -> ToyThresholdEnv:
-    return ToyThresholdEnv(seed)

@@ -1,11 +1,13 @@
-"""Grammatical evolution of decision-tree policies (ELDT).
+"""Grammatical evolution of decision-tree policies (ELDT), and the policy
+search core it shares with tree GP.
 
 Genotypes are fixed-length integer codon arrays. Variation is uniform
 per-gene mutation and one-point crossover; selection is a size-2 tournament;
 replacement is steady-state (parents and offspring merged, best kept, ties
 prefer incumbents). Fitness is the mean episode return of the decoded tree
 with Q-learning leaves; genotypes whose derivation runs out of codons get a
-fixed penalty fitness and charge no budget.
+fixed penalty fitness and charge no budget. ``PolicySearch`` holds the
+budget, trace, per-individual streams and closing rollout of a policy search.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .envs import BudgetCounter, evaluate_fitness, greedy_rollout
 from .grammar import Grammar, IncompleteDerivation, decode
 from .records import BestTrace, RunRecord
 from .tree import LearningConfig, prune_unreached, to_oneline
+
+PENALTY_FITNESS = -1.0e9
 
 # SeedSequence tags keeping the master/final streams disjoint from the
 # per-individual (seed, generation, index) streams.
@@ -45,7 +49,7 @@ class EvolutionConfig:
     mutation_prob: float = 0.05
     crossover_prob: float = 0.5
     tournament_size: int = 2
-    penalty_fitness: float = -1.0e9
+    penalty_fitness: float = PENALTY_FITNESS
     episodes_per_eval: int = None
 
     def __post_init__(self):
@@ -71,12 +75,12 @@ class EvolutionConfig:
 @dataclass(eq=False)
 class Individual:
     """Genotype plus evaluation results; identity equality (array fields
-    make field-wise comparison meaningless)."""
+    make field-wise comparison meaningless). Tree GP's individuals have no
+    genotype: their tree is what varies."""
 
     genotype: np.ndarray
     fitness: float = None
     tree: object = None
-    decode_failed: bool = False
 
 
 def random_genotype(length: int, g_max: int, rng) -> np.ndarray:
@@ -133,118 +137,132 @@ def replace_steady_state(population: list, offspring: list) -> list:
     return merged[: len(population)]
 
 
+class PolicySearch:
+    """The search state that ELDT and tree GP share.
+
+    Owns the run's episode budget and best-so-far trace, the episodes per
+    evaluation (3 for stochastic environments and 1 for deterministic ones
+    unless given), and the (seed, generation, index) stream of each
+    individual, so that evaluation order cannot change results. Episode
+    quotas go in index order, and the last evaluation may run on a partial
+    quota so that consumption equals the budget exactly; the trace holds one
+    best-so-far entry per consumed episode.
+    """
+
+    def __init__(self, env_factory, budget: int, seed: int, learning: LearningConfig,
+                 episodes_per_eval: int = None):
+        if budget < 1:
+            raise ValueError("budget must be >= 1")
+        self.t0 = time.perf_counter()
+        self.env_factory = env_factory
+        self.spec = env_factory(0).spec
+        self.episodes_per_eval = episodes_per_eval or (3 if self.spec.stochastic else 1)
+        self.seed = seed
+        self.learning = learning
+        self.budget = BudgetCounter(budget)
+        self.trace = BestTrace(maximize=True)
+
+    def evaluate(self, ind: Individual, stream):
+        """Score ``ind.tree`` on the next quota of episodes and record it."""
+        quota = min(self.episodes_per_eval, self.budget.remaining)
+        before = self.budget.consumed
+        ind.fitness = evaluate_fitness(ind.tree, self.env_factory, quota, stream,
+                                       self.learning, self.budget)
+        self.trace.record(ind.fitness, self.budget.consumed - before, payload=ind)
+
+    def evaluate_in_order(self, individuals: list, generation: int, score=None) -> list:
+        """Call ``score(ind, stream)`` (default: ``evaluate``) on each
+        individual in index order until the budget runs out; return those
+        scored."""
+        score = score or self.evaluate
+        scored = []
+        for index, ind in enumerate(individuals):
+            if self.budget.remaining == 0:
+                break
+            score(ind, np.random.default_rng(
+                np.random.SeedSequence((self.seed, generation, index))))
+            scored.append(ind)
+        return scored
+
+    def record(self, algo: str, params: dict) -> RunRecord:
+        """The run's record. The best tree is re-run greedily (no
+        exploration, no learning) for one final rollout that recharges visit
+        counters, drives prune_unreached, and lands in record.artifacts;
+        those reporting episodes are not part of the optimization budget."""
+        spec, e = self.spec, self.episodes_per_eval
+        best = self.trace.best_payload.tree
+        best.reset_visits()
+        obs_log, act_log, rets = greedy_rollout(
+            best, self.env_factory, e, np.random.SeedSequence((self.seed, _FINAL_TAG)))
+        pruned = prune_unreached(best)
+        solution = to_oneline(pruned, spec.feature_names, spec.action_labels,
+                              spec.category_labels)
+        return RunRecord(
+            algo=algo, seed=self.seed, trace=self.trace.values,
+            final_objective=self.trace.best, solution=solution,
+            episodes=self.budget.consumed, params={**params, "episodes_per_eval": e},
+            wall_time=time.perf_counter() - self.t0,
+            artifacts={"tree": best, "pruned_tree": pruned, "rollout_observations": obs_log,
+                       "rollout_actions": act_log, "rollout_returns": rets})
+
+
 def run_eldt(config: EvolutionConfig, grammar: Grammar, env_factory, seed: int,
              learning: LearningConfig = None) -> RunRecord:
     """Evolve a decision-tree policy under an exact episode budget.
 
-    ``env_factory(seed)`` builds a fresh environment. Each individual is
-    evaluated on its own RNG stream seeded by (run seed, generation, index),
-    so evaluation order cannot change results; episode quotas are assigned in
-    index order and the last evaluation may run on a partial quota so that
-    consumption equals the budget exactly. The returned record's trace has
-    one best-so-far entry per consumed episode.
-
-    The run's best tree is re-run greedily (no exploration, no learning) for
-    one final rollout that recharges visit counters, drives prune_unreached,
-    and lands in record.artifacts; those reporting episodes are not part of
-    the optimization budget.
+    ``env_factory(seed)`` builds a fresh environment. Budget, streams and
+    the closing greedy rollout are ``PolicySearch``'s.
     """
-    t0 = time.perf_counter()
     if learning is None:
         learning = LearningConfig()
-    spec = env_factory(0).spec
-    e = config.episodes_per_eval or (3 if spec.stochastic else 1)
-    budget = BudgetCounter(config.budget)
-    trace = BestTrace(maximize=True)
+    search = PolicySearch(env_factory, config.budget, seed, learning,
+                          config.episodes_per_eval)
+    spec = search.spec
     rng = np.random.default_rng(np.random.SeedSequence((seed, _MASTER_TAG)))
-    stall = [0]
+    stall = 0
 
-    def evaluate(ind: Individual, generation: int, index: int):
-        stream = np.random.default_rng(np.random.SeedSequence((seed, generation, index)))
+    def score(ind: Individual, stream):
+        nonlocal stall
         try:
-            tree = decode(ind.genotype, grammar, spec.feature_index)
+            ind.tree = decode(ind.genotype, grammar, spec.feature_index)
         except IncompleteDerivation:
             ind.fitness = config.penalty_fitness
-            ind.decode_failed = True
-            stall[0] += 1
-            if stall[0] > _MAX_DECODE_STALL:
+            stall += 1
+            if stall > _MAX_DECODE_STALL:
                 raise RuntimeError(
                     f"{_MAX_DECODE_STALL} consecutive decode failures; "
                     "the grammar and genotype length cannot produce policies"
                 )
             return
-        stall[0] = 0
-        tree.init_leaves(spec.action_count, stream,
-                         learning.q_init_low, learning.q_init_high)
-        quota = min(e, budget.remaining)
-        before = budget.consumed
-        fitness = evaluate_fitness(tree, env_factory, quota, stream, learning,
-                                   budget, config.penalty_fitness)
-        ind.fitness = fitness
-        ind.tree = tree
-        trace.record(fitness, budget.consumed - before, payload=ind)
+        stall = 0
+        ind.tree.init_leaves(spec.action_count, stream,
+                             learning.q_init_low, learning.q_init_high)
+        search.evaluate(ind, stream)
 
     population = [Individual(random_genotype(config.genotype_length, config.g_max, rng))
                   for _ in range(config.population_size)]
     generation = 0
-    for index, ind in enumerate(population):
-        if budget.remaining == 0:
-            break
-        evaluate(ind, generation, index)
+    search.evaluate_in_order(population, generation, score)
     for ind in population:
         if ind.fitness is None:  # truncated initialization under a tiny budget
             ind.fitness = config.penalty_fitness
 
-    while budget.remaining > 0:
+    while search.budget.remaining > 0:
         generation += 1
         offspring = []
         while len(offspring) < config.population_size:
             p1 = select_parent(population, config.tournament_size, rng)
             p2 = select_parent(population, config.tournament_size, rng)
             g1, g2 = p1.genotype, p2.genotype
-            if config.genotype_length >= 2 and rng.random() < config.crossover_prob:
+            if rng.random() < config.crossover_prob:
                 g1, g2 = crossover_one_point(g1, g2, rng)
             for g in (g1, g2):
                 if len(offspring) < config.population_size:
                     offspring.append(
                         Individual(mutate(g, config.mutation_prob, config.g_max, rng)))
-        evaluated = []
-        for index, child in enumerate(offspring):
-            if budget.remaining == 0:
-                break
-            evaluate(child, generation, index)
-            evaluated.append(child)
-        population = replace_steady_state(population, evaluated)
+        population = replace_steady_state(
+            population, search.evaluate_in_order(offspring, generation, score))
 
-    best = trace.best_payload
     params = asdict(config)
     params.update(asdict(learning))
-    params["episodes_per_eval"] = e
-    artifacts = {}
-    solution = ""
-    final = trace.best if trace.best is not None else config.penalty_fitness
-    if best is not None and best.tree is not None:
-        best.tree.reset_visits()
-        obs_log, act_log, rets = greedy_rollout(
-            best.tree, env_factory, e, np.random.SeedSequence((seed, _FINAL_TAG)))
-        pruned = prune_unreached(best.tree)
-        artifacts = {
-            "tree": best.tree,
-            "pruned_tree": pruned,
-            "rollout_observations": obs_log,
-            "rollout_actions": act_log,
-            "rollout_returns": rets,
-        }
-        solution = to_oneline(pruned, spec.feature_names, spec.action_labels,
-                              spec.category_labels)
-    return RunRecord(
-        algo="eldt",
-        seed=seed,
-        trace=trace.values,
-        final_objective=final,
-        solution=solution,
-        episodes=budget.consumed,
-        params=params,
-        wall_time=time.perf_counter() - t0,
-        artifacts=artifacts,
-    )
+    return search.record("eldt", params)

@@ -418,9 +418,3 @@ class HfsEnv(Env):
         if self._last_perm is None:
             return None
         return decode_list_schedule(self.instance, self._last_perm)
-
-
-def hfs_env(instance: HfsInstance, seed=None) -> HfsEnv:
-    """Factory matching the (instance, seed) signature used everywhere; the
-    environment itself is deterministic."""
-    return HfsEnv(instance, seed)

@@ -313,7 +313,3 @@ class MakeOrBuyEnv(Env):
                                      self.params, self._sim_seed)
         return ((0.0,) * len(self.spec.features),
                 self.last_outcome.revenue / 100.0, True)
-
-
-def makeorbuy_env(orders, params: MakeOrBuyParams = None, seed=None) -> MakeOrBuyEnv:
-    return MakeOrBuyEnv(orders, params, seed)

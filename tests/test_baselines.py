@@ -22,7 +22,6 @@ from evoscm.baselines import (
     sample_permutation,
     subtree_crossover,
     subtree_mutation,
-    _depth,
     _ramped_population,
 )
 
@@ -42,6 +41,14 @@ def perm_space(weights, budget=500):
 
     return SearchSpace(kind="permutation", size=len(w), score=score,
                        maximize=False, budget=BudgetCounter(budget))
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+@pytest.mark.parametrize("runner", [random_search, ga_run, aco_run, gp_evolve])
+def test_runners_reject_a_budget_below_one(runner, budget):
+    target = (lambda s: ToyThresholdEnv(seed=s)) if runner is gp_evolve else onemax_space()
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        runner(target, budget, 0)
 
 
 class TestSearchSpace:
@@ -248,7 +255,7 @@ class TestGpOperators:
         rng = np.random.default_rng(0)
         pop = _ramped_population(self.spec(), rng, 30)
         assert len(pop) == 30
-        depths = {_depth(t.root) for t in pop}
+        depths = {t.depth() for t in pop}
         assert depths <= {0, 1, 2, 3, 4}
         assert max(depths) >= 2
 
@@ -257,13 +264,13 @@ class TestGpOperators:
         pop = _ramped_population(self.spec(), rng, 40)
         for i in range(0, 40, 2):
             child = subtree_crossover(pop[i], pop[i + 1], rng, max_depth=6)
-            assert _depth(child.root) <= 6
+            assert child.depth() <= 6
 
     def test_mutation_respects_depth_cap(self):
         rng = np.random.default_rng(2)
         for tree in _ramped_population(self.spec(), rng, 40):
             child = subtree_mutation(tree, self.spec(), rng, max_depth=4)
-            assert _depth(child.root) <= 4
+            assert child.depth() <= 4
 
     def test_operators_do_not_mutate_parents(self):
         from evoscm import to_oneline
@@ -294,7 +301,7 @@ class TestGpEvolve:
 
     def test_best_tree_respects_depth_cap(self):
         rec = gp_evolve(self.factory(), 400, seed=5, max_depth=4)
-        assert _depth(rec.artifacts["tree"].root) <= 4
+        assert rec.artifacts["tree"].depth() <= 4
 
     def test_learns_toy_threshold(self):
         wins = 0

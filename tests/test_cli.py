@@ -308,6 +308,18 @@ class TestInputFiles:
         assert "<leaf>" in err
         assert runs_started == []
 
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_grammar_with_another_algo(self, hfs_dataset, tmp_path, capsys, runs_started,
+                                       exists):
+        grammar = tmp_path / "policy.bnf"
+        if exists:
+            spec = evoscm.HfsEnv(load_hfs(hfs_dataset)).spec
+            grammar.write_text(evoscm.default_policy_grammar(spec).to_bnf())
+        err = self.run_bad(["--problem", "hfs", "--algo", "gp", "--dataset", hfs_dataset,
+                            "--grammar", str(grammar)], tmp_path, capsys)
+        assert "eldt only" in err
+        assert runs_started == []
+
     @pytest.mark.parametrize("algo", ["eldt", "gp"])
     def test_malformed_dataset(self, tmp_path, capsys, runs_started, algo):
         dataset = tmp_path / "jobs.csv"

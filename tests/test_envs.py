@@ -13,7 +13,6 @@ from evoscm import (
     FeatureSpec,
     Leaf,
     LearningConfig,
-    PENALTY_FITNESS,
     Split,
     HfsEnv,
     MakeOrBuyEnv,
@@ -276,13 +275,6 @@ class TestEvaluateFitness:
         evaluate_fitness(leaf_tree(), lambda s: ConstRewardEnv(), 4,
                          np.random.default_rng(0), LearningConfig(), b)
         assert b.consumed == 4
-
-    def test_none_tree_is_penalty_and_free(self):
-        b = BudgetCounter(10)
-        fit = evaluate_fitness(None, lambda s: ConstRewardEnv(), 4,
-                               np.random.default_rng(0), LearningConfig(), b)
-        assert fit == PENALTY_FITNESS
-        assert b.consumed == 0
 
     def test_equals_mean_of_individual_episodes_to_full_precision(self):
         lc = LearningConfig(alpha=0.0, epsilon=0.0)

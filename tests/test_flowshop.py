@@ -17,7 +17,6 @@ from evoscm import (
     check_feasible,
     decode_list_schedule,
     gen_hfs,
-    hfs_env,
     load_machine_types,
     lower_bounds,
     makespan,
@@ -318,14 +317,14 @@ class TestPriorities:
 
 class TestHfsEnv:
     def test_episode_len_is_job_count(self):
-        env = hfs_env(gen_hfs("d1", 12, seed=0), seed=0)
+        env = HfsEnv(gen_hfs("d1", 12, seed=0), seed=0)
         assert env.spec.episode_len == 12
         assert env.spec.action_count == 10
         assert not env.spec.stochastic
 
     def test_constant_priority_equals_edd(self):
         inst = gen_hfs("d1", 15, seed=1)
-        env = hfs_env(inst, seed=0)
+        env = HfsEnv(inst, seed=0)
         lc = LearningConfig(alpha=0.0, epsilon=0.0)
         tree = DecisionTree(Leaf([0.0] * 9 + [1.0]))  # always priority 9
         ret = run_episode(env, tree, lc, np.random.default_rng(0))
@@ -335,7 +334,7 @@ class TestHfsEnv:
 
     def test_return_scale_identity(self):
         inst = gen_hfs("d3", 10, seed=2)
-        env = hfs_env(inst, seed=0)
+        env = HfsEnv(inst, seed=0)
         lc = LearningConfig(alpha=0.0, epsilon=0.0)
         tree = DecisionTree(Leaf([1.0, 0.0] + [0.0] * 8))
         ret = run_episode(env, tree, lc, np.random.default_rng(0))
@@ -380,18 +379,18 @@ class TestHfsEnv:
         assert rewards[0] != rewards[1] and len(makespans) == 2
 
     def test_last_schedule_is_none_before_an_episode(self):
-        assert hfs_env(gen_hfs("d1", 4, seed=0), seed=0).last_schedule is None
+        assert HfsEnv(gen_hfs("d1", 4, seed=0), seed=0).last_schedule is None
 
     def test_observation_features(self):
         inst = gen_hfs("d1", 5, seed=3)
-        env = hfs_env(inst, seed=0)
+        env = HfsEnv(inst, seed=0)
         obs = env.reset()
         j = inst.jobs[0]
         code = env.spec.features[0].categories.index(j.machine_type)
         assert list(obs) == [float(code), j.due_day, j.basement_day, j.panel_day]
 
     def test_rewards_zero_until_terminal(self):
-        env = hfs_env(gen_hfs("d2", 6, seed=4), seed=0)
+        env = HfsEnv(gen_hfs("d2", 6, seed=4), seed=0)
         env.reset()
         rewards = []
         done = False

@@ -7,10 +7,10 @@ from evoscm import (
     Leaf,
     LearningConfig,
     MAKE,
+    MakeOrBuyEnv,
     MakeOrBuyParams,
     Order,
     gen_makeorbuy,
-    makeorbuy_env,
     revenue,
     run_episode,
     simulate,
@@ -217,11 +217,11 @@ class TestParams:
 
 class TestMakeOrBuyEnv:
     def test_episode_len_is_order_count(self):
-        env = makeorbuy_env(gen_makeorbuy(17, seed=0), seed=1)
+        env = MakeOrBuyEnv(gen_makeorbuy(17, seed=0), seed=1)
         assert env.spec.episode_len == 17
 
     def test_all_buy_terminal_reward(self):
-        env = makeorbuy_env(gen_makeorbuy(100, seed=1), seed=1)
+        env = MakeOrBuyEnv(gen_makeorbuy(100, seed=1), seed=1)
         env.reset()
         rewards = []
         done = False
@@ -232,7 +232,7 @@ class TestMakeOrBuyEnv:
         assert rewards[-1] == 70.0
 
     def test_return_times_scale_equals_simulated_revenue(self):
-        env = makeorbuy_env(gen_makeorbuy(40, seed=2), seed=3)
+        env = MakeOrBuyEnv(gen_makeorbuy(40, seed=2), seed=3)
         tree = DecisionTree(Leaf([1.0, 0.0]))
         lc = LearningConfig(alpha=0.0, epsilon=0.0)
         ret = run_episode(env, tree, lc, np.random.default_rng(0))
@@ -240,20 +240,20 @@ class TestMakeOrBuyEnv:
 
     def test_observation_is_order_features(self):
         orders = gen_makeorbuy(5, seed=4)
-        env = makeorbuy_env(orders, seed=0)
+        env = MakeOrBuyEnv(orders, seed=0)
         obs = env.reset()
         o = orders[0]
         assert list(obs) == [o.qty_a, o.qty_b, o.qty_c, o.deadline_day]
 
     def test_feature_names_and_actions(self):
-        env = makeorbuy_env(gen_makeorbuy(5, seed=4), seed=0)
+        env = MakeOrBuyEnv(gen_makeorbuy(5, seed=4), seed=0)
         assert env.spec.feature_names == \
             ["qty_a", "qty_b", "qty_c", "days_to_deadline"]
         assert env.spec.action_labels == ("MAKE", "BUY")
         assert env.spec.stochastic
 
     def test_episodes_resample_sim_seed(self):
-        env = makeorbuy_env(gen_makeorbuy(50, seed=5), seed=6)
+        env = MakeOrBuyEnv(gen_makeorbuy(50, seed=5), seed=6)
         lc = LearningConfig(alpha=0.0, epsilon=0.0)
         tree = DecisionTree(Leaf([1.0, 0.0]))
         rets = {run_episode(env, tree, lc, np.random.default_rng(0))
