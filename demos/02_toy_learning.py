@@ -22,11 +22,10 @@ from evoscm import (
 )
 
 
-def factory(seed):
-    return ToyThresholdEnv(seed=seed)
-
-
-spec = ToyThresholdEnv(seed=0).spec
+# One environment serves every episode; each episode reseeds it through
+# reset(seed), so a run's results depend on its seed alone.
+env = ToyThresholdEnv()
+spec = env.spec
 rng = np.random.default_rng(0)
 
 # ----------------------------------------------------------------------
@@ -45,7 +44,7 @@ oracle = parse_text(
     "    action 0  [visits=0]\n",
     feature_names=spec.feature_names)
 for name, tree in (("always action 1", always_one), ("hand-written oracle", oracle)):
-    score = evaluate_fitness(tree, factory, episodes=30, rng=np.random.default_rng(1))
+    score = evaluate_fitness(tree, env, episodes=30, rng=np.random.default_rng(1))
     print(f"{name:20s} mean return {score:5.2f}")
 
 # ----------------------------------------------------------------------
@@ -56,7 +55,7 @@ grammar = default_policy_grammar(spec)
 print("\ngrammar:")
 print(grammar.to_bnf())
 
-record = run_eldt(EvolutionConfig(budget=1500), grammar, factory, seed=0)
+record = run_eldt(EvolutionConfig(budget=1500), grammar, env, seed=0)
 print(f"episodes consumed: {record.episodes}")
 print(f"best fitness:      {record.final_objective:.2f} (optimum 50)")
 print(f"one-line policy:   {record.solution}")

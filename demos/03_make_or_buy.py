@@ -4,7 +4,7 @@ Make-or-buy sourcing on a simulated supply chain
 
 Each order needs three components (A, B, C) that in-house plants produce
 and a truck ferries to the assembly plant D. Producing in-house is worth
-100 if the order meets its deadline but only 10 if late; outsourcing is a
+100 if the order meets its deadline but only 50 if late; outsourcing is a
 safe 70. With every order made in-house the plants overload and tail
 orders run late, so the interesting policies outsource selectively.
 """
@@ -45,18 +45,15 @@ print(f"random mix  revenue {np.mean(revenues):7.1f} "
 # ----------------------------------------------------------------------
 # 3. The environment view: one order per step, observations are the
 #    order's component quantities and deadline, actions are MAKE or BUY.
-#    Evolve an interpretable policy over those features.
-env = MakeOrBuyEnv(orders, params, seed=0)
+#    Evolve an interpretable policy over those features. The one
+#    environment serves every episode of the run; reset(seed) draws each
+#    episode's simulation seed.
+env = MakeOrBuyEnv(orders, params)
 print("\nobservation features:", ", ".join(env.spec.feature_names))
 print("actions:", ", ".join(env.spec.action_labels))
 
-
-def factory(seed):
-    return MakeOrBuyEnv(orders, params, seed)
-
-
 grammar = default_policy_grammar(env.spec)
-record = run_eldt(EvolutionConfig(budget=600), grammar, factory, seed=1)
+record = run_eldt(EvolutionConfig(budget=600), grammar, env, seed=1)
 print(f"\nevolved policy after {record.episodes} episodes, "
       f"mean revenue {100 * record.final_objective:.1f}:")
 print(to_text(record.artifacts["pruned_tree"], env.spec.feature_names,

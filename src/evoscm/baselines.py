@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -70,18 +71,37 @@ def format_candidate(kind: str, candidate) -> str:
     return " ".join(str(int(v)) for v in candidate)
 
 
-# Valid values of the runners' keyword hyperparameters, by name. A size
-# below 1 leaves a generation, colony, tournament or evaluation empty, and an
-# empty generation or evaluation never ends a run.
-_SIZES = ("population_size", "colony_size", "tournament_size", "episodes_per_eval")
-_PROBABILITIES = ("crossover_prob", "mutation_prob", "flip_prob", "swap_prob", "rho")
+# Valid values of the policy-search and baseline hyperparameters, by name. A
+# size below 1 leaves a generation, colony, tournament, evaluation or tree
+# empty, and an empty generation or evaluation never ends a run.
+_SIZES = ("population_size", "colony_size", "tournament_size", "episodes_per_eval",
+          "max_depth", "genotype_length", "g_max")
+_PROBABILITIES = ("crossover_prob", "mutation_prob", "flip_prob", "swap_prob", "rho",
+                  "alpha", "gamma", "epsilon")
+_REALS = ("tau_min", "tau_max", "penalty_fitness", "q_init_low", "q_init_high")
+
+
+def check_values(values: dict):
+    """Raise ValueError unless every named hyperparameter in ``values`` has a
+    value a run can use: sizes are integers >= 1, probabilities are reals in
+    [0, 1], and other reals are finite; a bool is none of these. None keeps a
+    default that the runner resolves itself."""
+    for name, v in values.items():
+        if v is None:
+            continue
+        real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+        if name in _SIZES and not (real and isinstance(v, numbers.Integral) and v >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        if name in _PROBABILITIES and not (real and 0.0 <= v <= 1.0):
+            raise ValueError(f"{name} must be a number in [0, 1], got {v!r}")
+        if name in _REALS and not (real and math.isfinite(v)):
+            raise ValueError(f"{name} must be a finite number, got {v!r}")
 
 
 def check_params(runner, params: dict):
     """Raise ValueError unless ``params`` are keyword hyperparameters that
-    ``runner`` takes, with values it can run with: sizes are integers >= 1,
-    probabilities lie in [0, 1], and 0 < tau_min <= tau_max. None keeps a
-    default that the runner resolves itself."""
+    ``runner`` takes, with values ``check_values`` accepts and
+    0 < tau_min <= tau_max."""
     defaults = {name: p.default
                 for name, p in inspect.signature(runner).parameters.items()
                 if p.kind is p.KEYWORD_ONLY}
@@ -90,19 +110,10 @@ def check_params(runner, params: dict):
         raise ValueError(f"unknown {runner.__name__} params: {unknown} "
                          f"(known: {sorted(defaults)})")
     values = {**defaults, **params}
-    for name, v in values.items():
-        if v is None:
-            continue
-        if name in _SIZES and (isinstance(v, bool)
-                               or not isinstance(v, numbers.Integral) or v < 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
-        if name in _PROBABILITIES and not (isinstance(v, numbers.Real)
-                                           and 0.0 <= v <= 1.0):
-            raise ValueError(f"{name} must be in [0, 1], got {v!r}")
+    check_values(values)
     if "tau_min" in values:
         low, high = values["tau_min"], values["tau_max"]
-        if not (isinstance(low, numbers.Real) and isinstance(high, numbers.Real)
-                and 0.0 < low <= high):
+        if not 0.0 < low <= high:
             raise ValueError(f"need 0 < tau_min <= tau_max, got {low!r}, {high!r}")
 
 
@@ -414,7 +425,7 @@ def subtree_mutation(a: DecisionTree, spec, rng, max_depth: int = 6) -> Decision
 
 
 @_checked
-def gp_evolve(env_factory, budget: int, seed, *, population_size: int = 30,
+def gp_evolve(env, budget: int, seed, *, population_size: int = 30,
               crossover_prob: float = 0.8, mutation_prob: float = 0.2,
               tournament_size: int = 3, max_depth: int = 6,
               episodes_per_eval: int = None) -> RunRecord:
@@ -425,7 +436,7 @@ def gp_evolve(env_factory, budget: int, seed, *, population_size: int = 30,
     (alpha=0, epsilon=0). ELDT's selection, replacement and budget
     accounting (``PolicySearch``); only initialisation and variation differ.
     """
-    search = PolicySearch(env_factory, budget, seed, LearningConfig(alpha=0.0, epsilon=0.0),
+    search = PolicySearch(env, budget, seed, LearningConfig(alpha=0.0, epsilon=0.0),
                           episodes_per_eval)
     spec = search.spec
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x69EE)))

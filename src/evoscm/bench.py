@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import datagen
-from .baselines import (SearchSpace, aco_run, check_params, ga_run, gp_evolve, greedy_edd,
-                        random_search)
+from .baselines import (SearchSpace, aco_run, check_params, check_values, ga_run, gp_evolve,
+                        greedy_edd, random_search)
 from .envs import BudgetCounter, EnvSpec
 from .evolve import EvolutionConfig, run_eldt
 from .flowshop import CATEGORIES, HfsEnv, decode_list_schedule, makespan
@@ -178,6 +178,7 @@ def _eldt_configs(cfg: ExperimentConfig) -> tuple:
     unknown = set(cfg.params) - evolution - learning
     if unknown:
         raise ValueError(f"unknown eldt params: {sorted(unknown)}")
+    check_values(cfg.params)
     return (EvolutionConfig(budget=cfg.budget,
                             **{k: v for k, v in cfg.params.items() if k in evolution}),
             LearningConfig(**{k: v for k, v in cfg.params.items() if k in learning}))
@@ -226,7 +227,6 @@ class CampaignInputs:
 
     data: object  # the HfsInstance, or the tuple of make-or-buy orders
     params: MakeOrBuyParams  # make-or-buy simulation parameters; None for hfs
-    rows: tuple  # the environments' observation_rows of ``data``
     spec: EnvSpec
     grammar: Grammar  # eldt's policy grammar; None for the other algorithms
 
@@ -237,51 +237,34 @@ def load_inputs(cfg: ExperimentConfig) -> CampaignInputs:
     if cfg.problem == "makeorbuy":
         data = tuple(datagen.load_makeorbuy(cfg.dataset))
         params = MakeOrBuyParams.from_settings(cfg.sim_params)
-        rows = MakeOrBuyEnv.observation_rows(data)
-        spec = MakeOrBuyEnv(data, params, rows=rows).spec
+        spec = MakeOrBuyEnv(data, params).spec
     else:
         data = datagen.load_hfs(cfg.dataset, **_hfs_load_kwargs(cfg.sim_params))
         params = None
-        rows = HfsEnv.observation_rows(data)
-        spec = HfsEnv(data, rows=rows).spec
+        spec = HfsEnv(data).spec
     grammar = None
     if cfg.algo == "eldt":
         grammar = (load_bnf(cfg.grammar_path) if cfg.grammar_path
                    else default_policy_grammar(spec))
-    return CampaignInputs(data, params, rows, spec, grammar)
+    return CampaignInputs(data, params, spec, grammar)
 
 
-def _makeorbuy_setup(inputs: CampaignInputs):
-    orders, params, rows = inputs.data, inputs.params, inputs.rows
-
-    def space_builder(counter):
+def _search_space(cfg: ExperimentConfig, inputs: CampaignInputs) -> SearchSpace:
+    """The whole-solution search space that rs, ga and aco optimize, with a
+    budget counter of its own."""
+    data, params, counter = inputs.data, inputs.params, BudgetCounter(cfg.budget)
+    if cfg.problem == "makeorbuy":
         def score(x, rng):
-            return simulate(orders, x, params, int(rng.integers(2**63 - 1))).revenue
+            return simulate(data, x, params, int(rng.integers(2**63 - 1))).revenue
 
-        return SearchSpace(kind="binary", size=len(orders), score=score,
+        return SearchSpace(kind="binary", size=len(data), score=score,
                            maximize=True, budget=counter)
 
-    def env_factory(seed):
-        return MakeOrBuyEnv(orders, params, seed, rows=rows)
+    def score(p, rng):
+        return makespan(decode_list_schedule(data, p))
 
-    return space_builder, env_factory
-
-
-def _hfs_setup(inputs: CampaignInputs):
-    instance, rows = inputs.data, inputs.rows
-    makespans = {}  # one run's episodes share their decoded makespans
-
-    def space_builder(counter):
-        def score(p, rng):
-            return makespan(decode_list_schedule(instance, p))
-
-        return SearchSpace(kind="permutation", size=len(instance.jobs),
-                           score=score, maximize=False, budget=counter)
-
-    def env_factory(seed):
-        return HfsEnv(instance, seed, makespans=makespans, rows=rows)
-
-    return space_builder, env_factory
+    return SearchSpace(kind="permutation", size=len(data.jobs), score=score,
+                       maximize=False, budget=counter)
 
 
 def _scale_policy_record(record: RunRecord, scale: float) -> RunRecord:
@@ -297,25 +280,23 @@ def _scale_policy_record(record: RunRecord, scale: float) -> RunRecord:
 
 
 def _run_one(cfg: ExperimentConfig, seed: int, inputs: CampaignInputs) -> RunRecord:
-    """Run ``seed`` of the campaign on the shared inputs, with a setup of its
-    own, so that each run has its own flow-shop makespan memo."""
-    space_builder, env_factory = {
-        "makeorbuy": _makeorbuy_setup, "hfs": _hfs_setup}[cfg.problem](inputs)
+    """Run ``seed`` of the campaign on the shared inputs. A policy run builds
+    its own environment, so that each run has its own flow-shop makespan
+    memo."""
     algo = cfg.algo
     if algo in POLICY_ALGOS:
-        scale = env_factory(0).objective_scale
+        env = (MakeOrBuyEnv(inputs.data, inputs.params) if cfg.problem == "makeorbuy"
+               else HfsEnv(inputs.data))
         if algo == "eldt":
             config, learning = _eldt_configs(cfg)
-            record = run_eldt(config, inputs.grammar, env_factory, seed, learning)
+            record = run_eldt(config, inputs.grammar, env, seed, learning)
         else:
-            record = gp_evolve(env_factory, cfg.budget, seed, **cfg.params)
-        return _scale_policy_record(record, scale)
+            record = gp_evolve(env, cfg.budget, seed, **cfg.params)
+        return _scale_policy_record(record, env.objective_scale)
     if algo == "greedy":
         return greedy_edd(inputs.data)
-    counter = BudgetCounter(cfg.budget)
-    space = space_builder(counter)
     runner = {"rs": random_search, "ga": ga_run, "aco": aco_run}[algo]
-    return runner(space, cfg.budget, seed, **cfg.params)
+    return runner(_search_space(cfg, inputs), cfg.budget, seed, **cfg.params)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
@@ -323,8 +304,9 @@ def run_experiment(cfg: ExperimentConfig) -> list:
 
     The input files are parsed once, before any run starts. Run i uses seed
     cfg.seed + i; greedy runs once regardless of ``runs``. Runs share only
-    the read-only inputs (each has its own setup, RNG streams and budget
-    counter), so the thread pool size changes wall time only, never results.
+    the read-only inputs (each has its own environment or search space, RNG
+    streams and budget counter), so the thread pool size changes wall time
+    only, never results.
     """
     inputs = load_inputs(cfg)
     n_runs = 1 if cfg.algo == "greedy" else cfg.runs
@@ -432,6 +414,9 @@ def compare_dirs(in_dirs, out_path=None) -> list:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             body = [ln for ln in fh if not ln.startswith("#")]
         reader = csv.DictReader(body)
+        missing = sorted({"algo", "final_objective"} - set(reader.fieldnames or ()))
+        if missing:
+            raise datagen.DataError(f"{path}: missing columns {missing}")
         for row in reader:
             finals.setdefault(row["algo"], []).append(float(row["final_objective"]))
     algos = sorted(finals)

@@ -1,12 +1,14 @@
 """Episodic environment contract, episode running, fitness evaluation, and
 budget accounting.
 
-An environment exposes ``reset() -> obs`` and ``step(action) -> (obs, reward,
-done)`` plus an ``EnvSpec`` describing its observation features, action count,
-and episode length. An observation is a sequence of floats, one per feature
-(a tuple or list of Python floats, not necessarily an ndarray), and a reward
-is a float. Optimizers never touch simulators directly; one episode is one
-simulation execution and is the unit every budget counts.
+An environment exposes ``reset(seed=None) -> obs`` and ``step(action) -> (obs,
+reward, done)`` plus an ``EnvSpec`` describing its observation features, action
+count, and episode length. One environment serves every episode of a run, and
+``reset`` seeds each episode, as in Gymnasium's ``reset(seed=...)``. An
+observation is a sequence of floats, one per feature (a tuple or list of
+Python floats, not necessarily an ndarray), and a reward is a float.
+Optimizers never touch simulators directly; one episode is one simulation
+execution and is the unit every budget counts.
 """
 
 from __future__ import annotations
@@ -101,7 +103,9 @@ class Env:
     spec: EnvSpec
     objective_scale: float = 1.0
 
-    def reset(self) -> Sequence[float]:
+    def reset(self, seed=None) -> Sequence[float]:
+        """Start an episode; ``seed`` fixes its random draws (None: fresh
+        entropy)."""
         raise NotImplementedError
 
     def step(self, action: int) -> tuple[Sequence[float], float, bool]:
@@ -148,20 +152,21 @@ class BudgetCounter:
 
 
 def run_episode(env: Env, tree: DecisionTree, learning: LearningConfig, rng,
-                budget: BudgetCounter = None) -> float:
+                budget: BudgetCounter = None, seed=None) -> float:
     """Run one episode with epsilon-greedy actions and Q-learning updates.
 
     The leaf reached by the current observation is the Q-learning state; on
     non-terminal steps the update bootstraps from the next leaf's max Q, on
     the terminal step from 0. Returns the undiscounted episode return.
-    Charges one episode on ``budget`` (refused via BudgetExhausted).
+    Charges one episode on ``budget`` (refused via BudgetExhausted), then
+    starts the episode with ``env.reset(seed)``.
     """
     if budget is not None:
         budget.charge(1)
     alpha, gamma, eps = learning.alpha, learning.gamma, learning.epsilon
     learn = alpha != 0.0
     traverse, step = tree.traverse, env.step
-    leaf = traverse(env.reset())
+    leaf = traverse(env.reset(seed))
     total = 0.0
     for _ in range(env.spec.episode_len):
         action = epsilon_greedy(leaf, eps, rng)
@@ -178,13 +183,13 @@ def run_episode(env: Env, tree: DecisionTree, learning: LearningConfig, rng,
     return total
 
 
-def evaluate_fitness(tree: DecisionTree, env_factory, episodes: int, rng,
+def evaluate_fitness(tree: DecisionTree, env: Env, episodes: int, rng,
                      learning: LearningConfig = None,
                      budget: BudgetCounter = None) -> float:
-    """Mean return over ``episodes`` fresh episodes (compensated summation).
+    """Mean return over ``episodes`` episodes (compensated summation).
 
-    ``env_factory(seed)`` must build a fresh environment; learning stays on
-    across the episodes of one evaluation. If the budget runs out
+    Each episode resets ``env`` with a seed drawn from ``rng``; learning
+    stays on across the episodes of one evaluation. If the budget runs out
     mid-evaluation the mean covers the episodes actually run; if none can
     run, BudgetExhausted propagates.
     """
@@ -196,12 +201,12 @@ def evaluate_fitness(tree: DecisionTree, env_factory, episodes: int, rng,
     for _ in range(episodes):
         if budget is not None and budget.remaining == 0 and returns:
             break
-        env = env_factory(int(rng.integers(2**63 - 1)))
-        returns.append(run_episode(env, tree, learning, rng, budget))
+        returns.append(run_episode(env, tree, learning, rng, budget,
+                                   int(rng.integers(2**63 - 1))))
     return math.fsum(returns) / len(returns)
 
 
-def greedy_rollout(tree: DecisionTree, env_factory, episodes: int, seed):
+def greedy_rollout(tree: DecisionTree, env: Env, episodes: int, seed):
     """Frozen-policy rollout (epsilon=0, no learning) recording every step.
 
     Returns (observations, actions, returns). Visit counters do accumulate,
@@ -211,8 +216,7 @@ def greedy_rollout(tree: DecisionTree, env_factory, episodes: int, seed):
     rng = np.random.default_rng(seed)
     obs_log, act_log, rets = [], [], []
     for _ in range(episodes):
-        env = env_factory(int(rng.integers(2**63 - 1)))
-        obs = env.reset()
+        obs = env.reset(int(rng.integers(2**63 - 1)))
         total = 0.0
         for _ in range(env.spec.episode_len):
             leaf = tree.traverse(obs)
@@ -232,7 +236,7 @@ class ToyThresholdEnv(Env):
     matches the side of 0.5 (action 1 for x > 0.5, else action 0). 50 steps,
     so a perfect policy scores 50 and a constant policy 25 in expectation."""
 
-    def __init__(self, seed):
+    def __init__(self):
         self.spec = EnvSpec(
             features=(FeatureSpec("x", 0.0, 1.0,
                                   thresholds=tuple(round(v, 6) for v in np.linspace(0, 1, 21))),),
@@ -240,11 +244,9 @@ class ToyThresholdEnv(Env):
             episode_len=50,
             stochastic=True,
         )
-        self._rng = np.random.default_rng(seed)
-        self._x = 0.0
-        self._t = 0
 
-    def reset(self) -> list:
+    def reset(self, seed=None) -> list:
+        self._rng = np.random.default_rng(seed)
         self._t = 0
         self._x = float(self._rng.random())
         return [self._x]

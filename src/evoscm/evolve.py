@@ -140,22 +140,23 @@ def replace_steady_state(population: list, offspring: list) -> list:
 class PolicySearch:
     """The search state that ELDT and tree GP share.
 
-    Owns the run's episode budget and best-so-far trace, the episodes per
-    evaluation (3 for stochastic environments and 1 for deterministic ones
-    unless given), and the (seed, generation, index) stream of each
-    individual, so that evaluation order cannot change results. Episode
-    quotas go in index order, and the last evaluation may run on a partial
-    quota so that consumption equals the budget exactly; the trace holds one
-    best-so-far entry per consumed episode.
+    Owns the run's environment, which serves every episode of the run, its
+    episode budget and best-so-far trace, the episodes per evaluation (3 for
+    stochastic environments and 1 for deterministic ones unless given), and
+    the (seed, generation, index) stream of each individual, so that
+    evaluation order cannot change results. Episode quotas go in index
+    order, and the last evaluation may run on a partial quota so that
+    consumption equals the budget exactly; the trace holds one best-so-far
+    entry per consumed episode.
     """
 
-    def __init__(self, env_factory, budget: int, seed: int, learning: LearningConfig,
+    def __init__(self, env, budget: int, seed: int, learning: LearningConfig,
                  episodes_per_eval: int = None):
         if budget < 1:
             raise ValueError("budget must be >= 1")
         self.t0 = time.perf_counter()
-        self.env_factory = env_factory
-        self.spec = env_factory(0).spec
+        self.env = env
+        self.spec = env.spec
         self.episodes_per_eval = episodes_per_eval or (3 if self.spec.stochastic else 1)
         self.seed = seed
         self.learning = learning
@@ -166,7 +167,7 @@ class PolicySearch:
         """Score ``ind.tree`` on the next quota of episodes and record it."""
         quota = min(self.episodes_per_eval, self.budget.remaining)
         before = self.budget.consumed
-        ind.fitness = evaluate_fitness(ind.tree, self.env_factory, quota, stream,
+        ind.fitness = evaluate_fitness(ind.tree, self.env, quota, stream,
                                        self.learning, self.budget)
         self.trace.record(ind.fitness, self.budget.consumed - before, payload=ind)
 
@@ -193,7 +194,7 @@ class PolicySearch:
         best = self.trace.best_payload.tree
         best.reset_visits()
         obs_log, act_log, rets = greedy_rollout(
-            best, self.env_factory, e, np.random.SeedSequence((self.seed, _FINAL_TAG)))
+            best, self.env, e, np.random.SeedSequence((self.seed, _FINAL_TAG)))
         pruned = prune_unreached(best)
         solution = to_oneline(pruned, spec.feature_names, spec.action_labels,
                               spec.category_labels)
@@ -206,16 +207,16 @@ class PolicySearch:
                        "rollout_actions": act_log, "rollout_returns": rets})
 
 
-def run_eldt(config: EvolutionConfig, grammar: Grammar, env_factory, seed: int,
+def run_eldt(config: EvolutionConfig, grammar: Grammar, env, seed: int,
              learning: LearningConfig = None) -> RunRecord:
     """Evolve a decision-tree policy under an exact episode budget.
 
-    ``env_factory(seed)`` builds a fresh environment. Budget, streams and
-    the closing greedy rollout are ``PolicySearch``'s.
+    ``env`` serves every episode of the run. Budget, streams and the closing
+    greedy rollout are ``PolicySearch``'s.
     """
     if learning is None:
         learning = LearningConfig()
-    search = PolicySearch(env_factory, config.budget, seed, learning,
+    search = PolicySearch(env, config.budget, seed, learning,
                           config.episodes_per_eval)
     spec = search.spec
     rng = np.random.default_rng(np.random.SeedSequence((seed, _MASTER_TAG)))

@@ -39,6 +39,9 @@ from .envs import Env, EnvSpec, FeatureSpec
 
 CATEGORIES = ("M", "E", "R")
 
+# Priority levels an ``HfsEnv`` step chooses from (its action count).
+PRIORITY_LEVELS = 10
+
 LT7_FAMILY = ("LT7", "LT7p", "LT7 INS", "LT7p INS")
 LT8_FAMILY = ("LT8", "LT8p", "LT8 ULA", "LT8p ULA",
               "LT8 12", "LT8p 12", "LT8 12 ULA", "LT8p 12 ULA")
@@ -56,6 +59,8 @@ class Job:
     panel_day: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.due_day, self.basement_day, self.panel_day))):
+            raise ValueError(f"job {self.id}: days must be finite numbers")
         if self.basement_day < 0 or self.panel_day < 0:
             raise ValueError(f"job {self.id}: arrival days must be >= 0")
         if self.due_day < self.basement_day:
@@ -342,27 +347,30 @@ def priorities_to_permutation(priorities, jobs) -> list:
 
 class HfsEnv(Env):
     """Episodic wrapper: step i observes job i as (machine type code, due day,
-    basement day, panel day) and assigns it a priority level. The terminal
-    step decodes the resulting permutation and pays -makespan/1000.
+    basement day, panel day) and assigns it one of ``PRIORITY_LEVELS``
+    priorities. The terminal step decodes the resulting permutation and pays
+    -makespan/1000. The episode is deterministic, so ``reset`` ignores its
+    seed.
 
-    ``makespans`` maps a packed permutation to its makespan; environments
-    that share one dict (one run's episodes) decode each permutation once.
-    Only the float is kept, so ``last_schedule`` decodes again on request.
-    ``rows`` are the instance's ``observation_rows``, which environments of
-    one instance may share instead of building their own.
+    The environment memoizes the makespan of each permutation it decodes, so
+    the episodes of one run decode each permutation once. Only the float is
+    kept, so ``last_schedule`` decodes again on request.
     """
 
     objective_scale = -1000.0
 
-    def __init__(self, instance: HfsInstance, seed=None, priority_levels: int = 10,
-                 makespans: dict = None, rows: tuple = None):
+    def __init__(self, instance: HfsInstance):
         if not instance.jobs:
             raise ValueError("cannot build an environment for an empty instance")
         self.instance = instance
-        self._makespans = {} if makespans is None else makespans
-        self._rows = self.observation_rows(instance) if rows is None else rows
-        self._key_dtype = np.uint16 if len(instance.jobs) <= 1 << 16 else np.uint32
+        self._makespans = {}
         self.type_names = tuple(sorted(instance.type_specs))
+        code = {name: float(i) for i, name in enumerate(self.type_names)}
+        # Job i's observation is row i, as Python floats.
+        self._rows = tuple((code[job.machine_type], float(job.due_day),
+                            float(job.basement_day), float(job.panel_day))
+                           for job in instance.jobs)
+        self._key_dtype = np.uint16 if len(instance.jobs) <= 1 << 16 else np.uint32
         dd = [job.due_day for job in instance.jobs]
         db = [job.basement_day for job in instance.jobs]
         de = [job.panel_day for job in instance.jobs]
@@ -374,7 +382,7 @@ class HfsEnv(Env):
                 FeatureSpec("basement_day", min(db), max(db)),
                 FeatureSpec("panel_day", min(de), max(de)),
             ),
-            action_count=priority_levels,
+            action_count=PRIORITY_LEVELS,
             episode_len=len(instance.jobs),
             stochastic=False,
         )
@@ -382,16 +390,7 @@ class HfsEnv(Env):
         self._priorities = []
         self._last_perm = None
 
-    @staticmethod
-    def observation_rows(instance: HfsInstance) -> tuple:
-        """Job i's observation as row i: a tuple of Python floats (machine
-        type code in sorted type order, due day, basement day, panel day)."""
-        code = {name: float(i) for i, name in enumerate(sorted(instance.type_specs))}
-        return tuple((code[job.machine_type], float(job.due_day),
-                      float(job.basement_day), float(job.panel_day))
-                     for job in instance.jobs)
-
-    def reset(self) -> tuple:
+    def reset(self, seed=None) -> tuple:
         self._i = 0
         self._priorities = []
         return self._rows[0]

@@ -61,8 +61,8 @@ class Order:
     def __post_init__(self):
         if min(self.qty_a, self.qty_b, self.qty_c) < 0:
             raise ValueError(f"order {self.id}: quantities must be >= 0")
-        if self.deadline_day < 0:
-            raise ValueError(f"order {self.id}: deadline_day must be >= 0")
+        if not 0 <= self.deadline_day < math.inf:
+            raise ValueError(f"order {self.id}: deadline_day must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -253,20 +253,19 @@ def simulate(orders, decisions, params: MakeOrBuyParams, seed) -> SimOutcome:
 class MakeOrBuyEnv(Env):
     """Episodic wrapper: step i observes order i as (qty_a, qty_b, qty_c,
     days_to_deadline) and decides MAKE (0) or BUY (1). The terminal step runs
-    the simulation on a fresh seed and pays revenue / 100. ``rows`` are the
-    orders' ``observation_rows``, which environments of one order list may
-    share instead of building their own."""
+    the simulation and pays revenue / 100; ``reset(seed)`` derives the
+    episode's simulation seed from ``seed``."""
 
     objective_scale = 100.0
 
-    def __init__(self, orders, params: MakeOrBuyParams = None, seed=None,
-                 rows: tuple = None):
+    def __init__(self, orders, params: MakeOrBuyParams = None):
         if not orders:
             raise ValueError("cannot build an environment without orders")
         self.orders = tuple(orders)
         self.params = params if params is not None else MakeOrBuyParams()
-        self._rows = self.observation_rows(self.orders) if rows is None else rows
-        self._rng = np.random.default_rng(seed)
+        # Order i's observation is row i, as Python floats.
+        self._rows = tuple((float(o.qty_a), float(o.qty_b), float(o.qty_c),
+                            float(o.deadline_day)) for o in self.orders)
         qa = [o.qty_a for o in self.orders]
         qb = [o.qty_b for o in self.orders]
         qc = [o.qty_c for o in self.orders]
@@ -288,17 +287,10 @@ class MakeOrBuyEnv(Env):
         self._sim_seed = 0
         self.last_outcome = None
 
-    @staticmethod
-    def observation_rows(orders) -> tuple:
-        """Order i's observation as row i: a tuple of Python floats (qty_a,
-        qty_b, qty_c, deadline day)."""
-        return tuple((float(o.qty_a), float(o.qty_b), float(o.qty_c), float(o.deadline_day))
-                     for o in orders)
-
-    def reset(self) -> tuple:
+    def reset(self, seed=None) -> tuple:
         self._i = 0
         self._decisions = []
-        self._sim_seed = int(self._rng.integers(2**63 - 1))
+        self._sim_seed = int(np.random.default_rng(seed).integers(2**63 - 1))
         return self._rows[0]
 
     def step(self, action: int):

@@ -352,9 +352,9 @@ class NdarrayObsEnv:
             return np.array([o.qty_a, o.qty_b, o.qty_c, o.deadline_day], dtype=float)
         return np.array(row, dtype=float)
 
-    def reset(self) -> np.ndarray:
+    def reset(self, seed=None) -> np.ndarray:
         self._i = 0
-        return self._obs(0, self.env.reset())
+        return self._obs(0, self.env.reset(seed))
 
     def step(self, action):
         row, reward, done = self.env.step(action)
@@ -391,7 +391,7 @@ def q_update_oracle(leaf, action, reward, max_next_q, alpha, gamma) -> float:
     return float(new)
 
 
-def run_episode_oracle(env, tree, learning, rng, budget=None) -> float:
+def run_episode_oracle(env, tree, learning, rng, budget=None, seed=None) -> float:
     """``envs.run_episode`` with every step on numpy: ``np.argmax``/``np.max``
     over the leaf's Q-array, comparisons on numpy scalars and a Q-update in
     float64 scalars. Wrap ``env`` in ``NdarrayObsEnv`` for the observations
@@ -400,7 +400,7 @@ def run_episode_oracle(env, tree, learning, rng, budget=None) -> float:
         budget.charge(1)
     alpha, gamma, eps = learning.alpha, learning.gamma, learning.epsilon
     learn = alpha != 0.0
-    obs = env.reset()
+    obs = env.reset(seed)
     leaf = traverse_oracle(tree, obs)
     total = 0.0
     for _ in range(env.spec.episode_len):

@@ -46,10 +46,6 @@ from evoscm.tree import Leaf
 from oracles import ranksum_p_oracle, schedule_oracle
 
 
-def toy_factory(seed):
-    return ToyThresholdEnv(seed=seed)
-
-
 def test_criterion_01_all_outsource_revenue_anchor():
     t0 = time.monotonic()
     params = MakeOrBuyParams()
@@ -136,9 +132,9 @@ def test_criterion_04_feasibility_fuzzing():
 
 @pytest.fixture(scope="module")
 def eldt_toy_runs():
-    grammar = default_policy_grammar(ToyThresholdEnv(seed=0).spec)
+    grammar = default_policy_grammar(ToyThresholdEnv().spec)
     t0 = time.monotonic()
-    records = [run_eldt(EvolutionConfig(budget=2000), grammar, toy_factory, seed)
+    records = [run_eldt(EvolutionConfig(budget=2000), grammar, ToyThresholdEnv(), seed)
                for seed in range(10)]
     return records, time.monotonic() - t0
 
@@ -176,9 +172,9 @@ def test_criterion_07_budget_conformance():
             ga_run(space(), budget, seed=0),
             aco_run(space(), budget, seed=0),
             run_eldt(EvolutionConfig(budget=budget),
-                     default_policy_grammar(ToyThresholdEnv(seed=0).spec),
-                     toy_factory, seed=0),
-            gp_evolve(toy_factory, budget, seed=0)]
+                     default_policy_grammar(ToyThresholdEnv().spec),
+                     ToyThresholdEnv(), seed=0),
+            gp_evolve(ToyThresholdEnv(), budget, seed=0)]
     for rec in runs:
         assert rec.episodes == budget, rec.algo
         assert len(rec.trace) == budget, rec.algo
@@ -225,7 +221,7 @@ def test_criterion_10_pruned_tree_action_equivalence(eldt_toy_runs):
     policy_records = list(records)
     # the permutation baselines of criterion 8 carry no trees, so the other
     # tree-producing algorithm stands in alongside the criterion 5 runs
-    policy_records += [gp_evolve(toy_factory, 300, seed=s) for s in range(5)]
+    policy_records += [gp_evolve(ToyThresholdEnv(), 300, seed=s) for s in range(5)]
     checked = 0
     for rec in policy_records:
         tree = rec.artifacts["tree"]

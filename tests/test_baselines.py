@@ -46,7 +46,7 @@ def perm_space(weights, budget=500):
 @pytest.mark.parametrize("budget", [0, -1])
 @pytest.mark.parametrize("runner", [random_search, ga_run, aco_run, gp_evolve])
 def test_runners_reject_a_budget_below_one(runner, budget):
-    target = (lambda s: ToyThresholdEnv(seed=s)) if runner is gp_evolve else onemax_space()
+    target = ToyThresholdEnv() if runner is gp_evolve else onemax_space()
     with pytest.raises(ValueError, match="budget must be >= 1"):
         runner(target, budget, 0)
 
@@ -249,7 +249,7 @@ class TestGreedyEdd:
 
 class TestGpOperators:
     def spec(self):
-        return ToyThresholdEnv(seed=0).spec
+        return ToyThresholdEnv().spec
 
     def test_ramped_population_depths(self):
         rng = np.random.default_rng(0)
@@ -285,33 +285,30 @@ class TestGpOperators:
 
 
 class TestGpEvolve:
-    def factory(self):
-        return lambda s: ToyThresholdEnv(seed=s)
-
     def test_budget_exact_monotone(self):
-        rec = gp_evolve(self.factory(), 300, seed=0)
+        rec = gp_evolve(ToyThresholdEnv(), 300, seed=0)
         assert rec.episodes == 300 and len(rec.trace) == 300
         assert all(a <= b for a, b in zip(rec.trace, rec.trace[1:]))
 
     def test_same_seed_identical_best_tree(self):
-        a = gp_evolve(self.factory(), 200, seed=4)
-        b = gp_evolve(self.factory(), 200, seed=4)
+        a = gp_evolve(ToyThresholdEnv(), 200, seed=4)
+        b = gp_evolve(ToyThresholdEnv(), 200, seed=4)
         assert a.solution == b.solution
         assert a.trace == b.trace
 
     def test_best_tree_respects_depth_cap(self):
-        rec = gp_evolve(self.factory(), 400, seed=5, max_depth=4)
+        rec = gp_evolve(ToyThresholdEnv(), 400, seed=5, max_depth=4)
         assert rec.artifacts["tree"].depth() <= 4
 
     def test_learns_toy_threshold(self):
         wins = 0
         for seed in range(10):
-            rec = gp_evolve(self.factory(), 500, seed=seed)
+            rec = gp_evolve(ToyThresholdEnv(), 500, seed=seed)
             wins += rec.final_objective >= 45.0
         assert wins >= 8
 
     def test_leaves_are_constant_actions(self):
-        rec = gp_evolve(self.factory(), 200, seed=6)
+        rec = gp_evolve(ToyThresholdEnv(), 200, seed=6)
         for leaf in rec.artifacts["tree"].leaves():
             assert np.sum(leaf.q == 1.0) == 1
             assert np.sum(leaf.q == 0.0) == len(leaf.q) - 1

@@ -9,7 +9,9 @@ from evoscm import (
     Condition,
     DecisionTree,
     ExperimentConfig,
+    HfsEnv,
     Leaf,
+    MakeOrBuyEnv,
     RunRecord,
     aggregate,
     compare_dirs,
@@ -324,8 +326,25 @@ class TestLoadInputs:
                                budget=3, runs=1, out_dir=str(tmp_path))
         inputs = load_inputs(cfg)
         assert pickle.loads(pickle.dumps(inputs)) == inputs
-        assert len(inputs.rows) == inputs.spec.episode_len
         assert inputs.grammar is not None
+
+    @pytest.mark.parametrize("problem, algo, env_class",
+                             [("makeorbuy", "eldt", MakeOrBuyEnv), ("hfs", "gp", HfsEnv)])
+    def test_one_environment_per_run(self, problem, algo, env_class, hfs_dataset,
+                                     mob_dataset, tmp_path, monkeypatch):
+        built = []
+        init = env_class.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(env_class, "__init__", counting_init)
+        dataset = hfs_dataset if problem == "hfs" else mob_dataset
+        run_experiment(ExperimentConfig(problem=problem, algo=algo, dataset=dataset,
+                                        budget=12, runs=3, out_dir=str(tmp_path)))
+        # One per run, and the one load_inputs builds for the campaign's spec.
+        assert len(built) == 4
 
 
 class TestWriteArtifacts:

@@ -209,6 +209,30 @@ class TestBadHyperparameters:
         err = self.run_with(mob_dataset, tmp_path, algo, "temperature = 3\n")
         assert "unknown" in err and "temperature" in err
 
+    @pytest.mark.parametrize("algo, text", [
+        ("eldt", "alpha = abc"),
+        ("eldt", "gamma = true"),
+        ("eldt", "population_size = 2.5"),
+        ("eldt", "episodes_per_eval = 1.5"),
+        ("eldt", "tournament_size = 1.5"),
+        ("eldt", "genotype_length = 2.5"),
+        ("eldt", "g_max = 2.5"),
+        ("eldt", "q_init_low = abc"),
+        ("eldt", "q_init_low = nan"),
+        ("eldt", "q_init_high = inf"),
+        ("eldt", "penalty_fitness = abc"),
+        ("eldt", "penalty_fitness = nan"),
+        ("eldt", "mutation_prob = true"),
+        ("ga", "crossover_prob = true"),
+        ("aco", "tau_max = true"),
+        ("gp", "max_depth = abc"),
+        ("gp", "max_depth = 0"),
+        ("gp", "max_depth = -3"),
+    ])
+    def test_mistyped_value(self, mob_dataset, tmp_path, algo, text):
+        err = self.run_with(mob_dataset, tmp_path, algo, text + "\n")
+        assert text.split(" = ")[0] in err
+
 
 class TestBadSettings:
     """Bad --sim-params, or --params for greedy, exit 1 with one error line
@@ -270,6 +294,32 @@ class TestBadSettings:
                              "--dataset", hfs_dataset],
                             "--params", "temperature = 3\n", tmp_path)
         assert "greedy" in err and "temperature" in err
+
+
+class TestNonFiniteDays:
+    """A NaN or infinite day in a dataset exits 1 with the file and line,
+    before any run."""
+
+    @pytest.mark.parametrize("problem, algo, row", [
+        ("hfs", "eldt", "0,LT7,nan,1,2"),
+        ("hfs", "greedy", "0,LT7,30,1,inf"),
+        ("hfs", "gp", "0,LT7,30,1,inf"),
+        ("makeorbuy", "rs", "0,1,2,1,nan"),
+        ("makeorbuy", "eldt", "0,1,2,1,inf"),
+    ])
+    def test_rejected_with_file_and_line(self, tmp_path, problem, algo, row):
+        header = ("id,machine_type,due_day,basement_day,panel_day" if problem == "hfs"
+                  else "id,qty_a,qty_b,qty_c,deadline_day")
+        dataset = tmp_path / "data.csv"
+        dataset.write_text(f"{header}\n{row}\n")
+        out = tmp_path / "out"
+        done = run_cli_bounded(["run", "--problem", problem, "--algo", algo,
+                                "--dataset", str(dataset), "--budget", "5",
+                                "--runs", "1", "--out", str(out)])
+        assert done.returncode == 1, done.stdout
+        assert done.stderr.startswith(f"error: {dataset}, line 2:")
+        assert "finite" in done.stderr and "Traceback" not in done.stderr
+        assert not out.exists()
 
 
 class TestInputFiles:
@@ -411,6 +461,19 @@ class TestCompareCommand:
         code = run_cli(["compare", "--in", str(tmp_path / "missing")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_finals_without_objective_column(self, tmp_path):
+        dirs = []
+        for algo in ("rs", "ga"):
+            d = tmp_path / algo
+            d.mkdir()
+            (d / "finals.csv").write_text(f"# header\nalgo,run,seed\n{algo},0,0\n")
+            dirs.append(str(d))
+        done = run_cli_bounded(["compare", "--in", *dirs])
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"error: {dirs[0]}")
+        assert "finals.csv" in done.stderr and "final_objective" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestUsage:

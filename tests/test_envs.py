@@ -30,14 +30,14 @@ from oracles import NdarrayObsEnv, run_episode_oracle
 class ConstRewardEnv(Env):
     """episode_len steps of constant reward over a single dummy feature."""
 
-    def __init__(self, reward=0.0, steps=5, seed=None):
+    def __init__(self, reward=0.0, steps=5):
         self.spec = EnvSpec(
             features=(FeatureSpec("x", low=0.0, high=1.0),),
             action_count=2, episode_len=steps, stochastic=False)
         self.reward = reward
         self._t = 0
 
-    def reset(self):
+    def reset(self, seed=None):
         self._t = 0
         return np.array([0.5])
 
@@ -208,9 +208,9 @@ def full_tree(spec, depth=3, level=0):
 
 
 STEP_ENVS = {
-    "toy": lambda seed: ToyThresholdEnv(seed=seed),
-    "makeorbuy": lambda seed: MakeOrBuyEnv(gen_makeorbuy(30, seed=4), seed=seed),
-    "hfs": lambda seed: HfsEnv(gen_hfs("d1", 30, seed=2), seed),
+    "toy": ToyThresholdEnv,
+    "makeorbuy": lambda: MakeOrBuyEnv(gen_makeorbuy(30, seed=4)),
+    "hfs": lambda: HfsEnv(gen_hfs("d1", 30, seed=2)),
 }
 
 
@@ -225,14 +225,14 @@ class TestRunEpisodeMatchesOracle:
         make_env = STEP_ENVS[kind]
         lc = LearningConfig(alpha=alpha, gamma=0.9, epsilon=epsilon)
         for seed in range(3):
-            tree = DecisionTree(full_tree(make_env(0).spec))
-            tree.init_leaves(make_env(0).spec.action_count, np.random.default_rng(seed))
+            env, ref_env = make_env(), NdarrayObsEnv(make_env())
+            tree = DecisionTree(full_tree(env.spec))
+            tree.init_leaves(env.spec.action_count, np.random.default_rng(seed))
             ref = tree.copy()
             rng, ref_rng = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
-            env, ref_env = make_env(seed), NdarrayObsEnv(make_env(seed))
-            for _ in range(3):
-                got = run_episode(env, tree, lc, rng)
-                want = run_episode_oracle(ref_env, ref, lc, ref_rng)
+            for episode in range(3):
+                got = run_episode(env, tree, lc, rng, seed=3 * seed + episode)
+                want = run_episode_oracle(ref_env, ref, lc, ref_rng, seed=3 * seed + episode)
                 assert got == want
             for leaf, ref_leaf in zip(tree.leaves(), ref.leaves()):
                 assert np.array_equal(leaf.q, ref_leaf.q)
@@ -243,8 +243,8 @@ class TestRunEpisodeMatchesOracle:
 
     def test_rows_equal_the_ndarray_observations(self):
         for kind in ("makeorbuy", "hfs"):
-            env, ref = STEP_ENVS[kind](0), NdarrayObsEnv(STEP_ENVS[kind](0))
-            rows, arrays = [env.reset()], [ref.reset()]
+            env, ref = STEP_ENVS[kind](), NdarrayObsEnv(STEP_ENVS[kind]())
+            rows, arrays = [env.reset(0)], [ref.reset(0)]
             for _ in range(env.spec.episode_len - 1):
                 rows.append(env.step(0)[0])
                 arrays.append(ref.step(0)[0])
@@ -257,22 +257,22 @@ class TestEvaluateFitness:
         returns = iter([10.0, 20.0])
 
         class Scripted(ConstRewardEnv):
-            def __init__(self, seed=None):
-                super().__init__(steps=1)
+            def reset(self, seed=None):
                 self.reward = next(returns)
+                return super().reset(seed)
 
-        fit = evaluate_fitness(leaf_tree(), Scripted, 2,
+        fit = evaluate_fitness(leaf_tree(), Scripted(steps=1), 2,
                                np.random.default_rng(0))
         assert fit == 15.0
 
     def test_single_episode_equals_return(self):
-        fit = evaluate_fitness(leaf_tree(), lambda s: ConstRewardEnv(3.0), 1,
+        fit = evaluate_fitness(leaf_tree(), ConstRewardEnv(3.0), 1,
                                np.random.default_rng(0))
         assert fit == 15.0  # 5 steps of 3
 
     def test_budget_charged_exactly_e(self):
         b = BudgetCounter(10)
-        evaluate_fitness(leaf_tree(), lambda s: ConstRewardEnv(), 4,
+        evaluate_fitness(leaf_tree(), ConstRewardEnv(), 4,
                          np.random.default_rng(0), LearningConfig(), b)
         assert b.consumed == 4
 
@@ -282,20 +282,20 @@ class TestEvaluateFitness:
         idx = [0]
 
         class Tape(ConstRewardEnv):
-            def __init__(self, seed=None):
-                super().__init__(steps=1)
+            def reset(self, seed=None):
                 self.reward = vals[idx[0]]
                 idx[0] += 1
+                return super().reset(seed)
 
-        fit = evaluate_fitness(leaf_tree(), Tape, len(vals),
+        fit = evaluate_fitness(leaf_tree(), Tape(steps=1), len(vals),
                                np.random.default_rng(0), lc)
         assert fit == math.fsum(vals) / len(vals)
 
     def test_frozen_deterministic_invariant_across_calls(self):
         lc = LearningConfig(alpha=0.0, epsilon=0.0)
-        f1 = evaluate_fitness(leaf_tree(), lambda s: ConstRewardEnv(1.5), 3,
+        f1 = evaluate_fitness(leaf_tree(), ConstRewardEnv(1.5), 3,
                               np.random.default_rng(7), lc)
-        f2 = evaluate_fitness(leaf_tree(), lambda s: ConstRewardEnv(1.5), 3,
+        f2 = evaluate_fitness(leaf_tree(), ConstRewardEnv(1.5), 3,
                               np.random.default_rng(8), lc)
         assert f1 == f2
 
@@ -308,12 +308,12 @@ class TestToyThresholdEnv:
 
     def test_oracle_policy_scores_perfectly(self):
         lc = LearningConfig(alpha=0.0, epsilon=0.0)
-        ret = run_episode(ToyThresholdEnv(seed=0), self.oracle_tree(), lc,
-                          np.random.default_rng(0))
+        ret = run_episode(ToyThresholdEnv(), self.oracle_tree(), lc,
+                          np.random.default_rng(0), seed=0)
         assert ret == 50.0
 
     def test_episode_length_and_spec(self):
-        env = ToyThresholdEnv(seed=1)
+        env = ToyThresholdEnv()
         assert env.spec.episode_len == 50
         assert env.spec.action_count == 2
         assert env.spec.stochastic
@@ -322,9 +322,8 @@ class TestToyThresholdEnv:
     def test_always_one_policy_near_25(self):
         lc = LearningConfig(alpha=0.0, epsilon=0.0)
         tree = leaf_tree((0.0, 1.0))
-        rng = np.random.default_rng(0)
-        rets = [run_episode(ToyThresholdEnv(seed=s), tree, lc, rng)
-                for s in range(200)]
+        rng, env = np.random.default_rng(0), ToyThresholdEnv()
+        rets = [run_episode(env, tree, lc, rng, seed=s) for s in range(200)]
         mean = np.mean(rets)
         # per-episode sd = sqrt(50*0.25); mean over 200 episodes
         sigma = math.sqrt(50 * 0.25 / 200)
@@ -333,16 +332,16 @@ class TestToyThresholdEnv:
     def test_random_policy_near_25(self):
         lc = LearningConfig(alpha=0.0, epsilon=1.0)
         tree = leaf_tree((0.0, 0.0))
-        rng = np.random.default_rng(1)
-        rets = [run_episode(ToyThresholdEnv(seed=s), tree, lc, rng)
-                for s in range(200)]
+        rng, env = np.random.default_rng(1), ToyThresholdEnv()
+        rets = [run_episode(env, tree, lc, rng, seed=s) for s in range(200)]
         assert abs(np.mean(rets) - 25.0) <= 1.5
 
     def test_same_seed_same_draws(self):
         lc = LearningConfig(alpha=0.0, epsilon=0.0)
         t = self.oracle_tree()
-        a = greedy_rollout(t, lambda s: ToyThresholdEnv(seed=s), 2, 5)
-        b = greedy_rollout(t, lambda s: ToyThresholdEnv(seed=s), 2, 5)
+        env = ToyThresholdEnv()  # reused: reset(seed) alone fixes the draws
+        a = greedy_rollout(t, env, 2, 5)
+        b = greedy_rollout(t, env, 2, 5)
         assert np.array_equal(np.array(a[0]), np.array(b[0]))
         assert a[1] == b[1] and a[2] == b[2]
 
@@ -350,19 +349,19 @@ class TestToyThresholdEnv:
 class TestGreedyRollout:
     def test_logs_every_step(self):
         obs, acts, rets = greedy_rollout(leaf_tree((1.0, 0.0)),
-                                         lambda s: ConstRewardEnv(2.0), 3, 0)
+                                         ConstRewardEnv(2.0), 3, 0)
         assert len(obs) == len(acts) == 15
         assert rets == [10.0, 10.0, 10.0]
         assert set(acts) == {0}
 
     def test_no_learning_no_exploration(self):
         tree = leaf_tree((0.2, 0.9))
-        greedy_rollout(tree, lambda s: ConstRewardEnv(5.0), 2, 0)
+        greedy_rollout(tree, ConstRewardEnv(5.0), 2, 0)
         assert list(tree.root.q) == [0.2, 0.9]
         assert list(tree.root.updates) == [0, 0]
 
     def test_visits_accumulate_for_pruning(self):
         tree = leaf_tree((0.2, 0.9))
         tree.reset_visits()
-        greedy_rollout(tree, lambda s: ConstRewardEnv(5.0), 2, 0)
+        greedy_rollout(tree, ConstRewardEnv(5.0), 2, 0)
         assert tree.root.visits == 10

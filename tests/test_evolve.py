@@ -211,30 +211,27 @@ class TestEvolutionConfig:
 
 
 class TestRunEldt:
-    def factory(self):
-        return lambda s: ToyThresholdEnv(seed=s)
-
     def test_budget_consumed_exactly_and_trace_matches(self):
         cfg = EvolutionConfig(budget=500)
-        env_f = self.factory()
-        g = default_policy_grammar(env_f(0).spec)
-        rec = run_eldt(cfg, g, env_f, seed=0)
+        env = ToyThresholdEnv()
+        g = default_policy_grammar(env.spec)
+        rec = run_eldt(cfg, g, env, seed=0)
         assert rec.episodes == 500
         assert len(rec.trace) == 500
 
     def test_trace_monotone_nondecreasing(self):
         cfg = EvolutionConfig(budget=400)
-        env_f = self.factory()
-        g = default_policy_grammar(env_f(0).spec)
-        rec = run_eldt(cfg, g, env_f, seed=1)
+        env = ToyThresholdEnv()
+        g = default_policy_grammar(env.spec)
+        rec = run_eldt(cfg, g, env, seed=1)
         assert all(a <= b for a, b in zip(rec.trace, rec.trace[1:]))
 
     def test_same_seed_bit_identical(self):
         cfg = EvolutionConfig(budget=300)
-        env_f = self.factory()
-        g = default_policy_grammar(env_f(0).spec)
-        r1 = run_eldt(cfg, g, env_f, seed=5)
-        r2 = run_eldt(cfg, g, env_f, seed=5)
+        env = ToyThresholdEnv()
+        g = default_policy_grammar(env.spec)
+        r1 = run_eldt(cfg, g, env, seed=5)
+        r2 = run_eldt(cfg, g, env, seed=5)
         assert r1 == r2  # wall_time excluded from equality
         assert r1.trace == r2.trace
         assert r1.solution == r2.solution
@@ -242,17 +239,17 @@ class TestRunEldt:
     def test_partial_final_generation_documented_truncation(self):
         # budget not divisible by population * episodes still lands exactly
         cfg = EvolutionConfig(budget=101)
-        env_f = self.factory()
-        g = default_policy_grammar(env_f(0).spec)
-        rec = run_eldt(cfg, g, env_f, seed=2)
+        env = ToyThresholdEnv()
+        g = default_policy_grammar(env.spec)
+        rec = run_eldt(cfg, g, env, seed=2)
         assert rec.episodes == 101
         assert len(rec.trace) == 101
 
     def test_artifacts_expose_pruned_tree_and_rollout(self):
         cfg = EvolutionConfig(budget=300)
-        env_f = self.factory()
-        g = default_policy_grammar(env_f(0).spec)
-        rec = run_eldt(cfg, g, env_f, seed=3)
+        env = ToyThresholdEnv()
+        g = default_policy_grammar(env.spec)
+        rec = run_eldt(cfg, g, env, seed=3)
         art = rec.artifacts
         assert {"tree", "pruned_tree", "rollout_observations",
                 "rollout_actions", "rollout_returns"} <= set(art)
@@ -261,9 +258,9 @@ class TestRunEldt:
 
     def test_params_record_resolved_settings(self):
         cfg = EvolutionConfig(budget=200)
-        env_f = self.factory()
-        g = default_policy_grammar(env_f(0).spec)
-        rec = run_eldt(cfg, g, env_f, seed=4)
+        env = ToyThresholdEnv()
+        g = default_policy_grammar(env.spec)
+        rec = run_eldt(cfg, g, env, seed=4)
         assert rec.params["episodes_per_eval"] == 3  # stochastic default
         assert rec.params["population_size"] == 30
         assert rec.params["alpha"] == 0.1
@@ -272,11 +269,11 @@ class TestRunEldt:
 
     def test_decode_failures_charge_nothing(self):
         # a grammar requiring more codons than the genotype can supply
-        env_f = self.factory()
-        spec = env_f(0).spec
+        env = ToyThresholdEnv()
+        spec = env.spec
         g = default_policy_grammar(spec)
         cfg = EvolutionConfig(budget=60, genotype_length=3)
-        rec = run_eldt(cfg, g, env_f, seed=6)
+        rec = run_eldt(cfg, g, env, seed=6)
         # short genotypes often fail to decode; those evals are free and the
         # run still spends the full budget on the ones that decode
         assert rec.episodes == 60

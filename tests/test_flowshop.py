@@ -317,14 +317,14 @@ class TestPriorities:
 
 class TestHfsEnv:
     def test_episode_len_is_job_count(self):
-        env = HfsEnv(gen_hfs("d1", 12, seed=0), seed=0)
+        env = HfsEnv(gen_hfs("d1", 12, seed=0))
         assert env.spec.episode_len == 12
         assert env.spec.action_count == 10
         assert not env.spec.stochastic
 
     def test_constant_priority_equals_edd(self):
         inst = gen_hfs("d1", 15, seed=1)
-        env = HfsEnv(inst, seed=0)
+        env = HfsEnv(inst)
         lc = LearningConfig(alpha=0.0, epsilon=0.0)
         tree = DecisionTree(Leaf([0.0] * 9 + [1.0]))  # always priority 9
         ret = run_episode(env, tree, lc, np.random.default_rng(0))
@@ -334,7 +334,7 @@ class TestHfsEnv:
 
     def test_return_scale_identity(self):
         inst = gen_hfs("d3", 10, seed=2)
-        env = HfsEnv(inst, seed=0)
+        env = HfsEnv(inst)
         lc = LearningConfig(alpha=0.0, epsilon=0.0)
         tree = DecisionTree(Leaf([1.0, 0.0] + [0.0] * 8))
         ret = run_episode(env, tree, lc, np.random.default_rng(0))
@@ -349,48 +349,47 @@ class TestHfsEnv:
             return decode_list_schedule(instance, perm)
 
         monkeypatch.setattr(evoscm.flowshop, "decode_list_schedule", counting_decode)
-        makespans = {}
+        env = HfsEnv(inst)
         budget = BudgetCounter(5)
         lc = LearningConfig(alpha=0.0, epsilon=0.0)
         tree = DecisionTree(Leaf([1.0, 0.0] + [0.0] * 8))  # always priority 0
         returns = []
         for consumed in (1, 2):
-            env = HfsEnv(inst, seed=0, makespans=makespans)
-            returns.append(run_episode(env, tree, lc, np.random.default_rng(0), budget))
+            returns.append(run_episode(env, tree, lc, np.random.default_rng(0), budget,
+                                       seed=consumed))
             assert budget.consumed == consumed
         assert returns[0] == returns[1]
         perm = priorities_to_permutation([0] * 10, inst.jobs)
-        assert decoded == [perm] and len(makespans) == 1
+        assert decoded == [perm] and len(env._makespans) == 1
         schedule = env.last_schedule  # the second episode hit the memo
         assert schedule == decode_list_schedule(inst, perm)
         assert returns[1] * env.objective_scale == makespan(schedule)
 
     def test_shared_makespans_keep_each_permutation_apart(self):
         inst = gen_hfs("d1", 12, seed=0)
-        makespans, rewards = {}, []
+        env, rewards = HfsEnv(inst), []
         for priorities in ([0] * 12, [9] * 6 + [0] * 6, [0] * 12):
-            env = HfsEnv(inst, seed=0, makespans=makespans)
             env.reset()
             for level in priorities:
                 _, reward, done = env.step(level)
             perm = priorities_to_permutation(priorities, inst.jobs)
             assert done and reward == -makespan(decode_list_schedule(inst, perm)) / 1000.0
             rewards.append(reward)
-        assert rewards[0] != rewards[1] and len(makespans) == 2
+        assert rewards[0] != rewards[1] and len(env._makespans) == 2
 
     def test_last_schedule_is_none_before_an_episode(self):
-        assert HfsEnv(gen_hfs("d1", 4, seed=0), seed=0).last_schedule is None
+        assert HfsEnv(gen_hfs("d1", 4, seed=0)).last_schedule is None
 
     def test_observation_features(self):
         inst = gen_hfs("d1", 5, seed=3)
-        env = HfsEnv(inst, seed=0)
+        env = HfsEnv(inst)
         obs = env.reset()
         j = inst.jobs[0]
         code = env.spec.features[0].categories.index(j.machine_type)
         assert list(obs) == [float(code), j.due_day, j.basement_day, j.panel_day]
 
     def test_rewards_zero_until_terminal(self):
-        env = HfsEnv(gen_hfs("d2", 6, seed=4), seed=0)
+        env = HfsEnv(gen_hfs("d2", 6, seed=4))
         env.reset()
         rewards = []
         done = False

@@ -217,12 +217,12 @@ class TestParams:
 
 class TestMakeOrBuyEnv:
     def test_episode_len_is_order_count(self):
-        env = MakeOrBuyEnv(gen_makeorbuy(17, seed=0), seed=1)
+        env = MakeOrBuyEnv(gen_makeorbuy(17, seed=0))
         assert env.spec.episode_len == 17
 
     def test_all_buy_terminal_reward(self):
-        env = MakeOrBuyEnv(gen_makeorbuy(100, seed=1), seed=1)
-        env.reset()
+        env = MakeOrBuyEnv(gen_makeorbuy(100, seed=1))
+        env.reset(1)
         rewards = []
         done = False
         while not done:
@@ -232,30 +232,35 @@ class TestMakeOrBuyEnv:
         assert rewards[-1] == 70.0
 
     def test_return_times_scale_equals_simulated_revenue(self):
-        env = MakeOrBuyEnv(gen_makeorbuy(40, seed=2), seed=3)
+        env = MakeOrBuyEnv(gen_makeorbuy(40, seed=2))
         tree = DecisionTree(Leaf([1.0, 0.0]))
         lc = LearningConfig(alpha=0.0, epsilon=0.0)
-        ret = run_episode(env, tree, lc, np.random.default_rng(0))
+        ret = run_episode(env, tree, lc, np.random.default_rng(0), seed=3)
         assert ret * env.objective_scale == env.last_outcome.revenue
 
     def test_observation_is_order_features(self):
         orders = gen_makeorbuy(5, seed=4)
-        env = MakeOrBuyEnv(orders, seed=0)
-        obs = env.reset()
+        env = MakeOrBuyEnv(orders)
+        obs = env.reset(0)
         o = orders[0]
         assert list(obs) == [o.qty_a, o.qty_b, o.qty_c, o.deadline_day]
 
     def test_feature_names_and_actions(self):
-        env = MakeOrBuyEnv(gen_makeorbuy(5, seed=4), seed=0)
+        env = MakeOrBuyEnv(gen_makeorbuy(5, seed=4))
         assert env.spec.feature_names == \
             ["qty_a", "qty_b", "qty_c", "days_to_deadline"]
         assert env.spec.action_labels == ("MAKE", "BUY")
         assert env.spec.stochastic
 
     def test_episodes_resample_sim_seed(self):
-        env = MakeOrBuyEnv(gen_makeorbuy(50, seed=5), seed=6)
+        env = MakeOrBuyEnv(gen_makeorbuy(50, seed=5))
         lc = LearningConfig(alpha=0.0, epsilon=0.0)
         tree = DecisionTree(Leaf([1.0, 0.0]))
-        rets = {run_episode(env, tree, lc, np.random.default_rng(0))
-                for _ in range(20)}
-        assert len(rets) > 1
+        rets = [run_episode(env, tree, lc, np.random.default_rng(0), seed=s)
+                for s in range(20)]
+        assert len(set(rets)) > 1
+        assert rets == [run_episode(env, tree, lc, np.random.default_rng(0), seed=s)
+                        for s in range(20)]
+        # The seed derivation that artifacts were pinned with.
+        env.reset(6)
+        assert env._sim_seed == int(np.random.default_rng(6).integers(2**63 - 1))

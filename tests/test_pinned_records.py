@@ -52,19 +52,15 @@ SPACES = {"binary30": lambda: binary_space(30), "binary1": lambda: binary_space(
 SPACE_RUNNERS = {"rs": random_search, "ga": ga_run, "aco": aco_run}
 
 
-def toy_factory(seed):
-    return ToyThresholdEnv(seed)
-
-
 def run_case(case: str, seed: int):
     algo, problem = case.split("-")
     if algo in SPACE_RUNNERS:
         return SPACE_RUNNERS[algo](SPACES[problem](), SPACE_BUDGET, seed)
     if algo == "gp":
-        return gp_evolve(toy_factory, POLICY_BUDGET, seed, population_size=10)
-    grammar = default_policy_grammar(toy_factory(0).spec)
+        return gp_evolve(ToyThresholdEnv(), POLICY_BUDGET, seed, population_size=10)
+    env = ToyThresholdEnv()
     config = EvolutionConfig(budget=POLICY_BUDGET, population_size=10)
-    return run_eldt(config, grammar, toy_factory, seed)
+    return run_eldt(config, default_policy_grammar(env.spec), env, seed)
 
 
 # (final_objective, solution, len(trace)) per (case, seed).
