@@ -18,7 +18,6 @@ from evoscm import (
     Split,
     decode,
     default_policy_grammar,
-    derive_tokens,
     epsilon_greedy,
     prune_unreached,
     q_update,
@@ -47,19 +46,17 @@ print(grammar.to_bnf())
 # ----------------------------------------------------------------------
 # 2. A genotype is a vector of integer codons. Each codon picks one
 #    alternative (codon modulo the alternative count) at the leftmost
-#    open nonterminal. Codon exhaustion fails the decode; leftovers are
-#    ignored. This hand-written genotype reads, codon by codon: if, the
-#    queue_len condition, threshold 2, a leaf, another if on due_slack
-#    with threshold 5, and two closing leaves.
+#    open nonterminal, and the tree is built as the terminals come out.
+#    Codon exhaustion fails the decode; leftovers are ignored. This
+#    hand-written genotype reads, codon by codon: if, the queue_len
+#    condition, threshold 2, a leaf, another if on due_slack with
+#    threshold 5, and two closing leaves; its last two codons are unused.
 rng = np.random.default_rng(3)
 genotype = np.array([1, 0, 2, 0, 1, 1, 5, 0, 0, 99, 40000])
-tokens, used = derive_tokens(genotype, grammar)
-print(f"derived {len(tokens)} tokens from {used} of {len(genotype)} codons:")
-print(" ".join(tokens))
-
 tree = decode(genotype, grammar, spec.feature_index)
 tree.init_leaves(spec.action_count, rng)
-print("\nDecoded tree:")
+print(f"decoded {len(genotype)} codons into a tree of {len(tree.leaves())} leaves "
+      "(initial leaf Q-values pick the actions):")
 print(to_text(tree, spec.feature_names, spec.action_labels))
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ to a serial list-scheduling decoder; the objective is the makespan.
 import numpy as np
 
 from evoscm import (
-    BudgetCounter,
     SearchSpace,
     check_feasible,
     decode_list_schedule,
@@ -61,11 +60,11 @@ def space():
     return SearchSpace(
         kind="permutation", size=len(big.jobs),
         score=lambda p, rng: makespan(decode_list_schedule(big, p)),
-        maximize=False, budget=BudgetCounter(500))
+        maximize=False, budget=500)
 
 
 for label, algo in (("random search", random_search), ("GA", ga_run)):
-    finals = [algo(space(), 500, seed=s).final_objective for s in range(5)]
+    finals = [algo(space(), seed=s).final_objective for s in range(5)]
     print(f"{label:14s} best makespans over 5 seeds: "
           f"{[round(v, 1) for v in finals]}")
 

@@ -2,10 +2,10 @@
 earliest-due-date, and genetic programming over policy trees.
 
 Random search, GA, and ACO optimize a schedule as a whole through a
-``SearchSpace`` (binary make-or-buy vectors or job permutations); every
-candidate evaluation charges the shared budget with one episode. GP evolves
-the same decision-tree policies ELDT uses, but with constant-action leaves
-and learning disabled, as the no-learning control.
+``SearchSpace`` (binary make-or-buy vectors or job permutations), which owns
+the run's budget, trace and record; every candidate evaluation charges one
+episode. GP evolves the same decision-tree policies ELDT uses, but with
+constant-action leaves and learning disabled, as the no-learning control.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import inspect
 import math
 import numbers
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,26 +28,27 @@ from .records import BestTrace, RunRecord
 from .tree import Condition, DecisionTree, LearningConfig, Leaf, Split
 
 
-@dataclass
 class SearchSpace:
-    """A whole-solution search problem.
+    """One run of a whole-solution search.
 
     ``kind`` is "binary" or "permutation"; ``score(candidate, rng)`` returns
-    the objective (the rng covers stochastic simulators). ``evaluate``
-    charges one episode on the budget per call.
+    the objective (the rng covers stochastic simulators). The space owns the
+    run's episode budget, best-so-far trace and start time: ``evaluate``
+    charges one episode per call and records the result, and ``record``
+    builds the run's RunRecord. A space serves one run.
     """
 
-    kind: str
-    size: int
-    score: object
-    maximize: bool
-    budget: BudgetCounter
-
-    def __post_init__(self):
-        if self.kind not in ("binary", "permutation"):
-            raise ValueError(f"kind must be 'binary' or 'permutation', got {self.kind!r}")
-        if self.size < 1:
+    def __init__(self, kind: str, size: int, score, maximize: bool, budget: int):
+        if kind not in ("binary", "permutation"):
+            raise ValueError(f"kind must be 'binary' or 'permutation', got {kind!r}")
+        if size < 1:
             raise ValueError("size must be >= 1")
+        if budget < 1:
+            raise ValueError("budget must be >= 1")
+        self.t0 = time.perf_counter()
+        self.kind, self.size, self.score, self.maximize = kind, size, score, maximize
+        self.budget = BudgetCounter(budget)
+        self.trace = BestTrace(maximize=maximize)
 
     def random_candidate(self, rng) -> np.ndarray:
         if self.kind == "binary":
@@ -56,11 +56,23 @@ class SearchSpace:
         return rng.permutation(self.size)
 
     def evaluate(self, candidate, rng) -> float:
+        """Charge one episode, score ``candidate`` and record it."""
         self.budget.charge(1)
-        return float(self.score(candidate, rng))
+        value = float(self.score(candidate, rng))
+        self.trace.record(value, 1, payload=candidate)
+        return value
 
     def better(self, a: float, b: float) -> bool:
         return a > b if self.maximize else a < b
+
+    def record(self, algo: str, seed, params: dict) -> RunRecord:
+        """The run's record, with the budget added to ``params``."""
+        return RunRecord(
+            algo=algo, seed=seed, trace=self.trace.values,
+            final_objective=self.trace.best,
+            solution=format_candidate(self.kind, self.trace.best_payload),
+            episodes=self.budget.consumed, params={"budget": self.budget.limit, **params},
+            wall_time=time.perf_counter() - self.t0)
 
 
 def format_candidate(kind: str, candidate) -> str:
@@ -131,27 +143,13 @@ def _checked(runner):
     return wrapper
 
 
-def _check_budget(budget: int):
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-
-
-def random_search(space: SearchSpace, budget: int, seed) -> RunRecord:
-    """Uniform sampling: fresh bits / unbiased shuffles, exactly ``budget``
-    evaluations."""
-    _check_budget(budget)
-    t0 = time.perf_counter()
+def random_search(space: SearchSpace, seed) -> RunRecord:
+    """Uniform sampling: fresh bits / unbiased shuffles until the budget is
+    spent."""
     rng = np.random.default_rng(seed)
-    trace = BestTrace(maximize=space.maximize)
-    for _ in range(budget):
-        x = space.random_candidate(rng)
-        trace.record(space.evaluate(x, rng), 1, payload=x)
-    return RunRecord(
-        algo="rs", seed=seed, trace=trace.values,
-        final_objective=trace.best,
-        solution=format_candidate(space.kind, trace.best_payload),
-        episodes=budget, params={"budget": budget},
-        wall_time=time.perf_counter() - t0)
+    while space.budget.remaining > 0:
+        space.evaluate(space.random_candidate(rng), rng)
+    return space.record("rs", seed, {})
 
 
 def _flip_mutation(x, prob, rng):
@@ -191,7 +189,7 @@ def order_crossover(a, b, rng):
 
 
 @_checked
-def ga_run(space: SearchSpace, budget: int, seed, *, population_size: int = 50,
+def ga_run(space: SearchSpace, seed, *, population_size: int = 50,
            crossover_prob: float = 0.9, tournament_size: int = 3,
            flip_prob: float = None, swap_prob: float = 0.8) -> RunRecord:
     """Genetic algorithm over the search space.
@@ -202,25 +200,19 @@ def ga_run(space: SearchSpace, budget: int, seed, *, population_size: int = 50,
     that larger is better. The final generation truncates so the budget is consumed
     exactly.
     """
-    _check_budget(budget)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     if flip_prob is None:
         flip_prob = 1.0 / space.size
     sign = 1.0 if space.maximize else -1.0
-    trace = BestTrace(maximize=space.maximize)
 
     def evaluate(x) -> Individual:
-        f = space.evaluate(x, rng)
-        trace.record(f, 1, payload=x)
-        return Individual(x, sign * f)
+        return Individual(x, sign * space.evaluate(x, rng))
 
     population = [evaluate(space.random_candidate(rng))
-                  for _ in range(min(population_size, budget))]
-    remaining = budget - len(population)
-    while remaining > 0:
+                  for _ in range(min(population_size, space.budget.remaining))]
+    while space.budget.remaining > 0:
         offspring = []
-        while len(offspring) < population_size and remaining > len(offspring):
+        while len(offspring) < population_size and space.budget.remaining > len(offspring):
             c1 = select_parent(population, tournament_size, rng).genotype
             c2 = select_parent(population, tournament_size, rng).genotype
             if rng.random() < crossover_prob:
@@ -234,19 +226,12 @@ def ga_run(space: SearchSpace, budget: int, seed, *, population_size: int = 50,
                         offspring.append(_flip_mutation(c, flip_prob, rng))
                     else:
                         offspring.append(_swap_mutation(c, swap_prob, rng))
-        scored = [evaluate(c) for c in offspring[:remaining]]
-        remaining -= len(scored)
+        scored = [evaluate(c) for c in offspring[:space.budget.remaining]]
         population = replace_steady_state(population, scored)
-    return RunRecord(
-        algo="ga", seed=seed, trace=trace.values,
-        final_objective=trace.best,
-        solution=format_candidate(space.kind, trace.best_payload),
-        episodes=budget,
-        params={"budget": budget, "population_size": population_size,
-                "crossover_prob": crossover_prob,
-                "tournament_size": tournament_size,
-                "flip_prob": flip_prob, "swap_prob": swap_prob},
-        wall_time=time.perf_counter() - t0)
+    return space.record("ga", seed, {"population_size": population_size,
+                                     "crossover_prob": crossover_prob,
+                                     "tournament_size": tournament_size,
+                                     "flip_prob": flip_prob, "swap_prob": swap_prob})
 
 
 def binary_probabilities(tau: np.ndarray) -> np.ndarray:
@@ -281,7 +266,7 @@ def pheromone_step(tau, rho, deposits, delta, tau_min=0.01, tau_max=10.0):
 
 
 @_checked
-def aco_run(space: SearchSpace, budget: int, seed, *, colony_size: int = 20,
+def aco_run(space: SearchSpace, seed, *, colony_size: int = 20,
             rho: float = 0.1, tau_min: float = 0.01,
             tau_max: float = 10.0) -> RunRecord:
     """MAX-MIN-style ant colony optimization.
@@ -293,31 +278,24 @@ def aco_run(space: SearchSpace, budget: int, seed, *, colony_size: int = 20,
     to [tau_min, tau_max]. The last colony truncates to consume the budget
     exactly.
     """
-    _check_budget(budget)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    trace = BestTrace(maximize=space.maximize)
     if space.kind == "binary":
         tau = np.ones((space.size, 2))
         sample = sample_binary
     else:
         tau = np.ones((space.size, space.size))
         sample = sample_permutation
-    remaining = budget
-    while remaining > 0:
+    while space.budget.remaining > 0:
         ants = []
-        for _ in range(min(colony_size, remaining)):
+        for _ in range(min(colony_size, space.budget.remaining)):
             x = sample(tau, rng)
-            f = space.evaluate(x, rng)
-            trace.record(f, 1, payload=x)
-            ants.append((x, f))
-            remaining -= 1
+            ants.append((x, space.evaluate(x, rng)))
         winner = ants[0]
         for ant in ants[1:]:
             if space.better(ant[1], winner[1]):
                 winner = ant
         x, f = winner
-        best = trace.best
+        best = space.trace.best
         if space.maximize:
             delta = f / best if best > 0 else 1.0
         else:
@@ -325,14 +303,8 @@ def aco_run(space: SearchSpace, budget: int, seed, *, colony_size: int = 20,
         delta = min(max(delta, 1e-6), 1.0)
         tau = pheromone_step(tau, rho, [(i, int(v)) for i, v in enumerate(x)],
                              delta, tau_min, tau_max)
-    return RunRecord(
-        algo="aco", seed=seed, trace=trace.values,
-        final_objective=trace.best,
-        solution=format_candidate(space.kind, trace.best_payload),
-        episodes=budget,
-        params={"budget": budget, "colony_size": colony_size, "rho": rho,
-                "tau_min": tau_min, "tau_max": tau_max},
-        wall_time=time.perf_counter() - t0)
+    return space.record("aco", seed, {"colony_size": colony_size, "rho": rho,
+                                      "tau_min": tau_min, "tau_max": tau_max})
 
 
 def greedy_edd(instance: HfsInstance) -> RunRecord:

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import datagen
 from .baselines import (SearchSpace, aco_run, check_params, check_values, ga_run, gp_evolve,
                         greedy_edd, random_search)
-from .envs import BudgetCounter, EnvSpec
+from .envs import EnvSpec
 from .evolve import EvolutionConfig, run_eldt
 from .flowshop import CATEGORIES, HfsEnv, decode_list_schedule, makespan
 from .grammar import Grammar, default_policy_grammar, load_bnf
@@ -33,6 +33,9 @@ from .tree import LearningConfig, to_dot, to_text
 PROBLEMS = ("makeorbuy", "hfs")
 ALGORITHMS = ("eldt", "rs", "ga", "aco", "greedy", "gp")
 POLICY_ALGOS = ("eldt", "gp")
+# The runner that ``params`` configure, by algorithm; eldt's params fill its
+# configs instead, and greedy takes none.
+RUNNERS = {"rs": random_search, "ga": ga_run, "aco": aco_run, "gp": gp_evolve}
 HFS_SIM_PARAMS = ("assembly_areas", "capacity_e", "capacity_m", "capacity_r",
                   "machine_types", "transport_days")
 
@@ -153,6 +156,9 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
+                or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.problem == "makeorbuy" and self.algo == "greedy":
             raise ValueError("greedy EDD is a flow-shop heuristic; use --problem hfs")
         if self.grammar_path is not None and self.algo != "eldt":
@@ -165,10 +171,13 @@ class ExperimentConfig:
             _check_hfs_sim_params(self.sim_params)
         if self.algo == "eldt":
             _eldt_configs(self)
-        runner = {"rs": random_search, "ga": ga_run, "aco": aco_run,
-                  "gp": gp_evolve}.get(self.algo)
-        if runner is not None:
-            check_params(runner, self.params)
+        if self.algo in RUNNERS:
+            check_params(RUNNERS[self.algo], self.params)
+
+    @property
+    def maximize(self) -> bool:
+        """Make-or-buy maximizes revenue; the flow shop minimizes makespan."""
+        return self.problem == "makeorbuy"
 
 
 def _eldt_configs(cfg: ExperimentConfig) -> tuple:
@@ -250,21 +259,20 @@ def load_inputs(cfg: ExperimentConfig) -> CampaignInputs:
 
 
 def _search_space(cfg: ExperimentConfig, inputs: CampaignInputs) -> SearchSpace:
-    """The whole-solution search space that rs, ga and aco optimize, with a
-    budget counter of its own."""
-    data, params, counter = inputs.data, inputs.params, BudgetCounter(cfg.budget)
+    """The whole-solution search space for one rs, ga or aco run."""
+    data, params = inputs.data, inputs.params
     if cfg.problem == "makeorbuy":
         def score(x, rng):
             return simulate(data, x, params, int(rng.integers(2**63 - 1))).revenue
 
         return SearchSpace(kind="binary", size=len(data), score=score,
-                           maximize=True, budget=counter)
+                           maximize=cfg.maximize, budget=cfg.budget)
 
     def score(p, rng):
         return makespan(decode_list_schedule(data, p))
 
     return SearchSpace(kind="permutation", size=len(data.jobs), score=score,
-                       maximize=False, budget=counter)
+                       maximize=cfg.maximize, budget=cfg.budget)
 
 
 def _scale_policy_record(record: RunRecord, scale: float) -> RunRecord:
@@ -291,12 +299,12 @@ def _run_one(cfg: ExperimentConfig, seed: int, inputs: CampaignInputs) -> RunRec
             config, learning = _eldt_configs(cfg)
             record = run_eldt(config, inputs.grammar, env, seed, learning)
         else:
+            # called by name, so that a wrapped ``bench.gp_evolve`` is the one run
             record = gp_evolve(env, cfg.budget, seed, **cfg.params)
         return _scale_policy_record(record, env.objective_scale)
     if algo == "greedy":
         return greedy_edd(inputs.data)
-    runner = {"rs": random_search, "ga": ga_run, "aco": aco_run}[algo]
-    return runner(_search_space(cfg, inputs), cfg.budget, seed, **cfg.params)
+    return RUNNERS[algo](_search_space(cfg, inputs), seed, **cfg.params)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
@@ -382,8 +390,7 @@ def write_artifacts(cfg: ExperimentConfig, records: list, spec: EnvSpec = None):
     if cfg.algo in POLICY_ALGOS:
         best = records[0]
         for rec in records[1:]:
-            better = (rec.final_objective > best.final_objective
-                      if cfg.problem == "makeorbuy"
+            better = (rec.final_objective > best.final_objective if cfg.maximize
                       else rec.final_objective < best.final_objective)
             if better:
                 best = rec
@@ -412,13 +419,22 @@ def compare_dirs(in_dirs, out_path=None) -> list:
         if not path.exists():
             raise datagen.DataError(f"{path}: no such file")
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            body = [ln for ln in fh if not ln.startswith("#")]
-        reader = csv.DictReader(body)
+            body = [(n, ln) for n, ln in enumerate(fh, start=1) if not ln.startswith("#")]
+        reader = csv.DictReader(ln for _, ln in body)
         missing = sorted({"algo", "final_objective"} - set(reader.fieldnames or ()))
         if missing:
             raise datagen.DataError(f"{path}: missing columns {missing}")
         for row in reader:
-            finals.setdefault(row["algo"], []).append(float(row["final_objective"]))
+            text = row["final_objective"]
+            try:
+                value = float(text)
+            except (TypeError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
+                raise datagen.DataError(f"{path}, line {body[reader.line_num - 1][0]}: "
+                                        f"final_objective must be a finite number, "
+                                        f"got {text!r}")
+            finals.setdefault(row["algo"], []).append(value)
     algos = sorted(finals)
     if len(algos) < 2:
         raise ValueError("compare needs finals from at least two algorithms")

@@ -79,7 +79,7 @@ def _cmd_run(args) -> int:
     records = run_experiment(cfg)
     finals = [rec.final_objective for rec in records]
     print(f"{cfg.algo} on {cfg.problem} ({cfg.dataset}): "
-          f"{len(records)} run(s), best {min(finals) if cfg.problem == 'hfs' else max(finals)}, "
+          f"{len(records)} run(s), best {max(finals) if cfg.maximize else min(finals)}, "
           f"artifacts in {cfg.out_dir}")
     return 0
 
@@ -93,6 +93,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_datagen(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     parent = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(parent, exist_ok=True)
     if args.problem == "makeorbuy":

@@ -83,7 +83,10 @@ def _read_machine_types(fh, name) -> dict:
         if sorted(phases) != list(range(len(phases))):
             raise DataError(f"{name}: phase indices for {mt!r} are not 0..k-1")
         specs[mt] = tuple(phases[k] for k in range(len(phases)))
-    validate_type_specs(specs)
+    try:
+        validate_type_specs(specs)
+    except ValueError as exc:
+        raise DataError(f"{name}: {exc}") from None
     return specs
 
 

@@ -69,7 +69,7 @@ class Job:
 
 def validate_type_specs(type_specs: dict):
     """Each machine type maps to a non-empty ordered (category, duration)
-    phase list with known categories and positive durations."""
+    phase list with known categories and positive finite durations."""
     for name, phases in type_specs.items():
         if not phases:
             raise ValueError(f"machine type {name!r} has no phases")
@@ -77,9 +77,9 @@ def validate_type_specs(type_specs: dict):
             if category not in CATEGORIES:
                 raise ValueError(
                     f"machine type {name!r} phase {k}: unknown category {category!r}")
-            if duration <= 0:
-                raise ValueError(
-                    f"machine type {name!r} phase {k}: duration must be > 0")
+            if not 0 < duration < math.inf:
+                raise ValueError(f"machine type {name!r} phase {k}: duration must be "
+                                 f"a finite number > 0, got {duration!r}")
 
 
 @dataclass(frozen=True)

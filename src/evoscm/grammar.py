@@ -1,11 +1,12 @@
 """BNF grammars and integer-genotype decoding into decision-tree policies.
 
 A genotype is a fixed-length array of integer codons in [0, g_max]. Decoding
-performs a leftmost derivation from the grammar's start symbol: every
-nonterminal expansion consumes the next codon c and picks production
-``c % k`` among that nonterminal's k alternatives. There is no wrapping; if
-the codons run out before the derivation completes, IncompleteDerivation is
-raised and the caller assigns the penalty fitness.
+performs a leftmost derivation from the grammar's start symbol, parsing the
+policy as its terminals come out: every nonterminal expansion consumes the
+next codon c and picks production ``c % k`` among that nonterminal's k
+alternatives. There is no wrapping; if the codons run out before the
+derivation completes, IncompleteDerivation is raised and the caller assigns
+the penalty fitness.
 
 Grammar files are plain text, one rule per line::
 
@@ -21,7 +22,6 @@ with OP one of ``>`` (numeric, strict) and ``==`` (categorical).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,46 +110,35 @@ def load_bnf(path) -> Grammar:
         return parse_bnf(fh.read())
 
 
-def derive_tokens(genotype, grammar: Grammar):
-    """Leftmost derivation. Returns (terminal tokens, codons consumed).
+def decode(genotype, grammar: Grammar, feature_index: dict = None) -> DecisionTree:
+    """Genotype -> DecisionTree in one pass. Pure: same inputs, same structure.
 
-    Consumes one codon per nonterminal expansion (production index is
-    codon % k); raises IncompleteDerivation on codon exhaustion.
+    The leftmost derivation runs as a symbol stack, expanded only as far as
+    the policy parser needs its next terminal: every nonterminal expansion
+    consumes one codon and picks production ``codon % k``. Raises
+    IncompleteDerivation when codons run out (no wrapping), and ValueError at
+    the first terminal outside the policy language. Without
+    ``feature_index``, feature names must look like ``x0``, ``x1``... Leaves
+    come out with q=None; call tree.init_leaves() before acting.
     """
-    codons = np.asarray(genotype)
-    out = []
-    work = deque([grammar.start])
+    productions = grammar.productions  # every <nonterminal> has a rule here
+    codons = np.asarray(genotype).tolist()
+    stack = [grammar.start]
     used = 0
-    while work:
-        sym = work.popleft()
-        if _is_nonterminal(sym):
-            if used >= len(codons):
-                raise IncompleteDerivation(
-                    f"codons exhausted after {used} with {sym!r} pending"
-                )
-            prods = grammar.productions[sym]
-            choice = prods[int(codons[used]) % len(prods)]
-            used += 1
-            work.extendleft(reversed(choice))
-        else:
-            out.append(sym)
-    return out, used
-
-
-def build_policy_tree(tokens, feature_index: dict = None) -> DecisionTree:
-    """Assemble terminal tokens into a DecisionTree.
-
-    Without ``feature_index``, feature names must look like ``x0``, ``x1``...
-    Leaves come out with q=None; call tree.init_leaves() before acting.
-    """
-    pos = [0]
 
     def next_token():
-        if pos[0] >= len(tokens):
-            raise ValueError("policy token stream ended early")
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        return tok
+        nonlocal used
+        while stack:
+            sym = stack.pop()
+            prods = productions.get(sym)
+            if prods is None:
+                return sym
+            if used >= len(codons):
+                raise IncompleteDerivation(
+                    f"codons exhausted after {used} with {sym!r} pending")
+            stack.extend(reversed(prods[int(codons[used]) % len(prods)]))
+            used += 1
+        raise ValueError("policy token stream ended early")
 
     def expect(want):
         tok = next_token()
@@ -183,19 +172,9 @@ def build_policy_tree(tokens, feature_index: dict = None) -> DecisionTree:
         return Split(Condition(feature, op, value), yes, no)
 
     root = parse_tree()
-    if pos[0] != len(tokens):
-        raise ValueError(f"trailing tokens after policy: {tokens[pos[0]:]}")
+    if stack:
+        raise ValueError(f"trailing symbols after policy: {stack[::-1]}")
     return DecisionTree(root)
-
-
-def decode(genotype, grammar: Grammar, feature_index: dict = None) -> DecisionTree:
-    """Genotype -> DecisionTree. Pure: same inputs, same structure.
-
-    Raises IncompleteDerivation when codons run out (no wrapping), ValueError
-    when the grammar's terminal language is not a valid policy program.
-    """
-    tokens, _ = derive_tokens(genotype, grammar)
-    return build_policy_tree(tokens, feature_index)
 
 
 def default_policy_grammar(spec: EnvSpec) -> Grammar:

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from evoscm import (
-    BudgetCounter,
     EvolutionConfig,
     ExperimentConfig,
     MakeOrBuyParams,
@@ -166,11 +165,11 @@ def test_criterion_07_budget_conformance():
     def space():
         return SearchSpace(kind="binary", size=30,
                            score=lambda x, rng: float(np.sum(x)),
-                           maximize=True, budget=BudgetCounter(budget))
+                           maximize=True, budget=budget)
 
-    runs = [random_search(space(), budget, seed=0),
-            ga_run(space(), budget, seed=0),
-            aco_run(space(), budget, seed=0),
+    runs = [random_search(space(), seed=0),
+            ga_run(space(), seed=0),
+            aco_run(space(), seed=0),
             run_eldt(EvolutionConfig(budget=budget),
                      default_policy_grammar(ToyThresholdEnv().spec),
                      ToyThresholdEnv(), seed=0),
@@ -192,12 +191,12 @@ def test_criterion_08_ga_beats_random_search_on_hfs():
         return SearchSpace(
             kind="permutation", size=30,
             score=lambda p, rng: makespan(decode_list_schedule(instance, p)),
-            maximize=False, budget=BudgetCounter(500))
+            maximize=False, budget=500)
 
     wins = 0
     for seed in range(10):
-        ga_best = ga_run(space(), 500, seed=seed).final_objective
-        rs_best = random_search(space(), 500, seed=seed).final_objective
+        ga_best = ga_run(space(), seed=seed).final_objective
+        rs_best = random_search(space(), seed=seed).final_objective
         wins += ga_best <= rs_best
     assert wins >= 8, f"GA matched RS in only {wins}/10 paired seeds"
     elapsed = time.monotonic() - t0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evoscm import (
-    BudgetCounter,
+    BudgetExhausted,
     SearchSpace,
     ToyThresholdEnv,
     aco_run,
@@ -29,7 +29,7 @@ from evoscm.baselines import (
 def onemax_space(n=20, budget=500):
     return SearchSpace(kind="binary", size=n,
                        score=lambda x, rng: float(np.sum(x)),
-                       maximize=True, budget=BudgetCounter(budget))
+                       maximize=True, budget=budget)
 
 
 def perm_space(weights, budget=500):
@@ -40,22 +40,24 @@ def perm_space(weights, budget=500):
         return float(np.sum(w[np.asarray(perm)] * np.arange(len(w))))
 
     return SearchSpace(kind="permutation", size=len(w), score=score,
-                       maximize=False, budget=BudgetCounter(budget))
+                       maximize=False, budget=budget)
 
 
 @pytest.mark.parametrize("budget", [0, -1])
 @pytest.mark.parametrize("runner", [random_search, ga_run, aco_run, gp_evolve])
 def test_runners_reject_a_budget_below_one(runner, budget):
-    target = ToyThresholdEnv() if runner is gp_evolve else onemax_space()
+    # rs, ga and aco take their budget from the search space they run on
     with pytest.raises(ValueError, match="budget must be >= 1"):
-        runner(target, budget, 0)
+        if runner is gp_evolve:
+            runner(ToyThresholdEnv(), budget, 0)
+        else:
+            runner(onemax_space(budget=budget), 0)
 
 
 class TestSearchSpace:
     def test_kind_validated(self):
         with pytest.raises(ValueError):
-            SearchSpace(kind="real", size=3, score=None, maximize=True,
-                        budget=BudgetCounter(1))
+            SearchSpace(kind="real", size=3, score=None, maximize=True, budget=1)
 
     def test_every_evaluation_charges_budget(self):
         space = onemax_space(budget=3)
@@ -64,6 +66,18 @@ class TestSearchSpace:
             space.evaluate(space.random_candidate(rng), rng)
             assert space.budget.consumed == want
 
+    def test_record_reports_the_runs_trace(self):
+        space = onemax_space(n=3, budget=2)
+        rng = np.random.default_rng(0)
+        assert space.evaluate(np.array([1, 0, 0]), rng) == 1.0
+        assert space.evaluate(np.array([0, 0, 0]), rng) == 0.0
+        with pytest.raises(BudgetExhausted):
+            space.evaluate(np.array([1, 1, 1]), rng)
+        rec = space.record("rs", 7, {"flip_prob": 0.5})
+        assert (rec.algo, rec.seed, rec.trace, rec.final_objective) == ("rs", 7, [1.0, 1.0], 1.0)
+        assert rec.solution == "100" and rec.episodes == 2
+        assert rec.params == {"budget": 2, "flip_prob": 0.5}
+
     def test_format_candidate(self):
         assert format_candidate("binary", np.array([1, 0, 1])) == "101"
         assert format_candidate("permutation", np.array([2, 0, 1])) == "2 0 1"
@@ -71,13 +85,13 @@ class TestSearchSpace:
 
 class TestRandomSearch:
     def test_trace_length_is_budget_and_monotone(self):
-        rec = random_search(onemax_space(budget=200), 200, seed=0)
+        rec = random_search(onemax_space(budget=200), seed=0)
         assert rec.episodes == 200
         assert len(rec.trace) == 200
         assert all(a <= b for a, b in zip(rec.trace, rec.trace[1:]))
 
     def test_minimization_trace_monotone_down(self):
-        rec = random_search(perm_space([3, 1, 2], budget=50), 50, seed=1)
+        rec = random_search(perm_space([3, 1, 2], budget=50), seed=1)
         assert all(a >= b for a, b in zip(rec.trace, rec.trace[1:]))
 
     def test_permutation_sampling_uniform(self):
@@ -95,8 +109,8 @@ class TestRandomSearch:
             assert abs(c / n - p0) <= 3 * sigma
 
     def test_deterministic(self):
-        a = random_search(onemax_space(), 100, seed=3)
-        b = random_search(onemax_space(), 100, seed=3)
+        a = random_search(onemax_space(budget=100), seed=3)
+        b = random_search(onemax_space(budget=100), seed=3)
         assert a.trace == b.trace and a.solution == b.solution
 
 
@@ -140,33 +154,32 @@ class TestOrderCrossover:
 
 class TestGa:
     def test_budget_exact(self):
-        rec = ga_run(onemax_space(budget=333), 333, seed=0)
+        rec = ga_run(onemax_space(budget=333), seed=0)
         assert rec.episodes == 333 and len(rec.trace) == 333
 
     def test_static_population_when_operators_off(self):
         space = onemax_space(budget=300)
-        rec = ga_run(space, 300, seed=1, crossover_prob=0.0, flip_prob=0.0,
-                     swap_prob=0.0)
+        rec = ga_run(space, seed=1, crossover_prob=0.0, flip_prob=0.0, swap_prob=0.0)
         # clones only: nothing new appears after the initial population
         assert max(rec.trace) == max(rec.trace[:50])
 
     def test_beats_random_search_on_onemax(self):
         ga_best, rs_best = [], []
         for seed in range(10):
-            ga_best.append(ga_run(onemax_space(), 500, seed=seed).final_objective)
-            rs_best.append(random_search(onemax_space(), 500, seed=seed).final_objective)
+            ga_best.append(ga_run(onemax_space(), seed=seed).final_objective)
+            rs_best.append(random_search(onemax_space(), seed=seed).final_objective)
         assert np.mean(ga_best) >= np.mean(rs_best)
 
     def test_permutation_mode_improves(self):
         w = list(range(10, 0, -1))
-        rec = ga_run(perm_space(w, budget=400), 400, seed=2)
+        rec = ga_run(perm_space(w, budget=400), seed=2)
         first = rec.trace[49]
         assert rec.final_objective <= first
         assert rec.trace == sorted(rec.trace, reverse=True)
 
     def test_deterministic(self):
-        a = ga_run(onemax_space(), 200, seed=5)
-        b = ga_run(onemax_space(), 200, seed=5)
+        a = ga_run(onemax_space(budget=200), seed=5)
+        b = ga_run(onemax_space(budget=200), seed=5)
         assert a.trace == b.trace and a.solution == b.solution
 
 
@@ -206,17 +219,17 @@ class TestAco:
             assert sorted(p.tolist()) == list(range(n))
 
     def test_budget_exact_and_monotone(self):
-        rec = aco_run(perm_space(range(8), budget=250), 250, seed=0)
+        rec = aco_run(perm_space(range(8), budget=250), seed=0)
         assert rec.episodes == 250 and len(rec.trace) == 250
         assert rec.trace == sorted(rec.trace, reverse=True)
 
     def test_binary_mode_improves_onemax(self):
-        rec = aco_run(onemax_space(budget=400), 400, seed=1)
+        rec = aco_run(onemax_space(budget=400), seed=1)
         assert rec.final_objective >= 15  # near-optimal on 20 bits
 
     def test_deterministic(self):
-        a = aco_run(onemax_space(), 300, seed=7)
-        b = aco_run(onemax_space(), 300, seed=7)
+        a = aco_run(onemax_space(budget=300), seed=7)
+        b = aco_run(onemax_space(budget=300), seed=7)
         assert a.trace == b.trace
 
 

@@ -52,6 +52,14 @@ class TestDatagenCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_negative_seed(self, tmp_path):
+        out = tmp_path / "o.csv"
+        done = run_cli_bounded(["datagen", "--problem", "makeorbuy", "--n", "5",
+                                "--seed", "-1", "--out", str(out)])
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: --seed must be >= 0")
+        assert "Traceback" not in done.stderr and not out.exists()
+
     def test_unknown_variant_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["datagen", "--problem", "hfs", "--variant", "d9",
@@ -296,6 +304,38 @@ class TestBadSettings:
         assert "greedy" in err and "temperature" in err
 
 
+class TestNegativeSeed:
+    def test_run_rejects_a_negative_seed(self, mob_dataset, tmp_path):
+        out = tmp_path / "out"
+        done = run_cli_bounded(["run", "--problem", "makeorbuy", "--algo", "eldt",
+                                "--dataset", mob_dataset, "--budget", "5", "--runs", "1",
+                                "--seed", "-1", "--out", str(out)])
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: seed must be an integer >= 0, got -1")
+        assert "Traceback" not in done.stderr and not out.exists()
+
+
+class TestNonFinitePhaseDurations:
+    """A NaN or infinite phase duration in a machine_types file exits 1,
+    naming the file, the machine type and the phase, before any run."""
+
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_rejected(self, hfs_dataset, tmp_path, duration):
+        types = tmp_path / "types.csv"
+        types.write_text("machine_type,phase_index,category,duration_days\n"
+                         f"LT7,0,M,{duration}\nLT7,1,R,2\n")
+        settings = tmp_path / "sim.kv"
+        settings.write_text(f"machine_types = {types}\n")
+        out = tmp_path / "out"
+        done = run_cli_bounded(["run", "--problem", "hfs", "--algo", "greedy",
+                                "--dataset", hfs_dataset, "--sim-params", str(settings),
+                                "--out", str(out)])
+        assert done.returncode == 1, done.stdout
+        assert done.stderr.startswith(f"error: {types}: machine type 'LT7' phase 0:")
+        assert "finite" in done.stderr and "Traceback" not in done.stderr
+        assert not out.exists()
+
+
 class TestNonFiniteDays:
     """A NaN or infinite day in a dataset exits 1 with the file and line,
     before any run."""
@@ -474,6 +514,23 @@ class TestCompareCommand:
         assert done.stderr.startswith(f"error: {dirs[0]}")
         assert "finals.csv" in done.stderr and "final_objective" in done.stderr
         assert "Traceback" not in done.stderr
+
+
+    @pytest.mark.parametrize("value", ["abc", "nan"])
+    def test_non_finite_objective(self, tmp_path, value):
+        dirs = []
+        for algo in ("rs", "ga"):
+            d = tmp_path / algo
+            d.mkdir()
+            (d / "finals.csv").write_text(f"# header\nalgo,final_objective\n{algo},1.5\n"
+                                          f"{algo},{value if algo == 'ga' else 2.5}\n")
+            dirs.append(str(d))
+        done = run_cli_bounded(["compare", "--in", *dirs])
+        assert done.returncode == 1, done.stdout
+        assert done.stderr.startswith(f"error: {dirs[1]}")
+        assert f"finals.csv, line 4: final_objective must be a finite number, " \
+               f"got '{value}'" in done.stderr
+        assert "Traceback" not in done.stderr and done.stdout == ""
 
 
 class TestUsage:

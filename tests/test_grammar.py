@@ -10,7 +10,6 @@ from evoscm import (
     Leaf,
     decode,
     default_policy_grammar,
-    derive_tokens,
     load_bnf,
     parse_bnf,
     structurally_equal,
@@ -64,39 +63,61 @@ class TestParseBnf:
         assert load_bnf(path) == grammar
 
 
+def decodes(genotype, grammar):
+    try:
+        decode(genotype, grammar, {"x": 0})
+    except IncompleteDerivation:
+        return False
+    return True
+
+
+def codons_used(genotype, grammar):
+    """Length of the shortest prefix that decodes (the codons consumed)."""
+    return next(k for k in range(1, len(genotype) + 1) if decodes(genotype[:k], grammar))
+
+
+def split(node):
+    c = node.condition
+    return c.feature, c.op, c.value
+
+
 class TestDerive:
     def test_first_production_on_zero_codon(self, grammar):
-        tokens, used = derive_tokens(geno(0, 99, 99), grammar)
-        assert tokens == ["leaf"]
-        assert used == 1
+        g = geno(0, 99, 99)
+        assert isinstance(decode(g, grammar).root, Leaf)
+        assert codons_used(g, grammar) == 1
 
     def test_modulo_picks_production(self, grammar):
         # 3 mod 2 = 1 -> if-node at the root
-        tokens, _ = derive_tokens(geno(3, 0, 0, 0, 0), grammar)
-        assert tokens[:2] == ["if", "x"]
+        tree = decode(geno(3, 0, 0, 0, 0), grammar, {"x": 0})
+        assert split(tree.root) == (0, ">", 1.0)
 
     def test_every_nonterminal_costs_one_codon(self, grammar):
-        # <cond> has a single production but still consumes a codon
-        tokens, used = derive_tokens(geno(1, 5, 2, 0, 0), grammar)
-        assert tokens == ["if", "x", ">", "3", "then", "leaf", "else", "leaf"]
-        assert used == 5
+        # <cond> has a single production but still consumes a codon: 5 is
+        # spent on it, so <thr> reads 2 -> "3"
+        g = geno(1, 5, 2, 0, 0)
+        tree = decode(g, grammar, {"x": 0})
+        assert split(tree.root) == (0, ">", 3.0)
+        assert isinstance(tree.root.yes, Leaf) and isinstance(tree.root.no, Leaf)
+        assert codons_used(g, grammar) == 5
+        with pytest.raises(IncompleteDerivation):
+            decode(g[:4], grammar, {"x": 0})
 
     def test_exhaustion_raises_without_wrapping(self, grammar):
         with pytest.raises(IncompleteDerivation):
-            derive_tokens(geno(1), grammar)
+            decode(geno(1), grammar)
 
     def test_derivation_is_leftmost(self, grammar):
         # yes-branch expands before the else-branch sees its codon
-        tokens, _ = derive_tokens(geno(1, 0, 0, 1, 0, 1, 0, 2, 0, 0), grammar)
-        assert tokens == ["if", "x", ">", "1", "then",
-                          "if", "x", ">", "2", "then", "leaf", "else", "leaf",
-                          "else", "leaf"]
+        tree = decode(geno(1, 0, 0, 1, 0, 1, 0, 2, 0, 0), grammar, {"x": 0})
+        assert split(tree.root) == (0, ">", 1.0)
+        assert split(tree.root.yes) == (0, ">", 2.0)
+        assert isinstance(tree.root.yes.yes, Leaf) and isinstance(tree.root.yes.no, Leaf)
+        assert isinstance(tree.root.no, Leaf)
 
     def test_pure_function(self, grammar):
         g = geno(1, 5, 2, 0, 0)
-        a = derive_tokens(g, grammar)
-        b = derive_tokens(g, grammar)
-        assert a == b
+        assert structurally_equal(decode(g, grammar, {"x": 0}), decode(g, grammar, {"x": 0}))
 
 
 class TestDecode:
@@ -123,11 +144,9 @@ class TestDecode:
         rng = np.random.default_rng(0)
         for _ in range(200):
             g = rng.integers(0, 40001, size=30).astype(np.int64)
-            try:
-                _, used = derive_tokens(g, grammar)
-            except IncompleteDerivation:
+            if not decodes(g, grammar):
                 continue
-            assert used <= len(g)
+            used = codons_used(g, grammar)
             # trailing codons are inert
             g2 = g.copy()
             g2[used:] = 0
@@ -145,6 +164,18 @@ class TestDecode:
                       "<c> ::= mystery > 5\n")
         with pytest.raises(ValueError):
             decode(geno(1, 0, 0, 0), g, {"qty": 0})
+
+    def test_non_policy_terminal_rejected(self):
+        g = parse_bnf("<dt> ::= leaf | if <c> then <dt> else <dt> | halt\n"
+                      "<c> ::= x0 > 5\n")
+        with pytest.raises(ValueError, match="'halt'"):
+            decode(geno(2), g)
+
+    def test_bad_terminal_raises_before_codons_run_out(self):
+        # "halt" surfaces at the first codon, before the second <dt> runs dry
+        g = parse_bnf("<dt> ::= leaf | <bad> <dt>\n<bad> ::= halt\n")
+        with pytest.raises(ValueError, match="'halt'"):
+            decode(geno(1, 0), g)
 
 
 class TestDefaultGrammar:

@@ -7,11 +7,12 @@ anywhere in selection, variation, replacement or evaluation moves the final
 objective or the solution here.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from evoscm import (
-    BudgetCounter,
     EvolutionConfig,
     SearchSpace,
     ToyThresholdEnv,
@@ -22,6 +23,7 @@ from evoscm import (
     random_search,
     run_eldt,
 )
+from evoscm.cli import main
 
 SPACE_BUDGET = 137  # GA: 50 + 50 + 37 of 50; ACO: 6 colonies of 20 + 17
 POLICY_BUDGET = 100  # 10 individuals x 3 episodes per generation: 3 + 1/3 of the last
@@ -34,7 +36,7 @@ def binary_space(size):
         return float(np.asarray(x) @ w) + 0.5 * float(rng.random())
 
     return SearchSpace(kind="binary", size=size, score=score, maximize=True,
-                       budget=BudgetCounter(SPACE_BUDGET))
+                       budget=SPACE_BUDGET)
 
 
 def permutation_space(size=9):
@@ -44,7 +46,7 @@ def permutation_space(size=9):
         return float(np.sum(w[np.asarray(perm)] * np.arange(size))) + float(rng.random())
 
     return SearchSpace(kind="permutation", size=size, score=score, maximize=False,
-                       budget=BudgetCounter(SPACE_BUDGET))
+                       budget=SPACE_BUDGET)
 
 
 SPACES = {"binary30": lambda: binary_space(30), "binary1": lambda: binary_space(1),
@@ -55,7 +57,7 @@ SPACE_RUNNERS = {"rs": random_search, "ga": ga_run, "aco": aco_run}
 def run_case(case: str, seed: int):
     algo, problem = case.split("-")
     if algo in SPACE_RUNNERS:
-        return SPACE_RUNNERS[algo](SPACES[problem](), SPACE_BUDGET, seed)
+        return SPACE_RUNNERS[algo](SPACES[problem](), seed)
     if algo == "gp":
         return gp_evolve(ToyThresholdEnv(), POLICY_BUDGET, seed, population_size=10)
     env = ToyThresholdEnv()
@@ -99,3 +101,34 @@ PINNED = {
 def test_runner_record_is_pinned(case, seed):
     rec = run_case(case, seed)
     assert (rec.final_objective, rec.solution, len(rec.trace)) == PINNED[case, seed]
+
+
+# sha256 of finals.csv from ``bench run`` on tiny datasets (makeorbuy n=8 and
+# hfs d1 n=6, both generated with seed 0), budget 75 and 2 runs: GA stops part
+# way through its second generation and ACO through its fourth colony.
+FINALS_SHA256 = {
+    ("makeorbuy", "rs"):
+        "26b62df096e43bd9b31baf30415b1f42d51eeb465c8139dec34ce22d131c9c21",
+    ("makeorbuy", "ga"):
+        "9040c0743a04e1af6151fc309637e4c6340684482fb5f475f4bf0ac2fac23f47",
+    ("makeorbuy", "aco"):
+        "ef16bc9d336dc27bed9330c55c61f7b82ed5afae8b0dee6166ededfa1df2fc67",
+    ("hfs", "rs"):
+        "12808a49bb58bd31e4cc37c6d434f1b470958bde3dd48064390217685a16ccbc",
+    ("hfs", "ga"):
+        "8899045bb7722f58b5af013234157117b54c0ca3f298a5425575c781c242a25d",
+    ("hfs", "aco"):
+        "25051dcb454ecf6ccaa1ca5acc21855011d8d1170b2be1133b574a03ee8e5b50",
+}
+
+
+@pytest.mark.parametrize("problem, algo", sorted(FINALS_SHA256))
+def test_cli_finals_are_pinned(problem, algo, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths keep the header free of tmp_path
+    gen = (["--problem", "hfs", "--variant", "d1", "--n", "6"] if problem == "hfs"
+           else ["--problem", "makeorbuy", "--n", "8"])
+    assert main(["datagen", *gen, "--seed", "0", "--out", "data.csv"]) == 0
+    assert main(["run", "--problem", problem, "--algo", algo, "--dataset", "data.csv",
+                 "--budget", "75", "--runs", "2", "--out", "out"]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "finals.csv").read_bytes()).hexdigest()
+    assert digest == FINALS_SHA256[problem, algo]
