@@ -12,7 +12,6 @@ leaves.
 import numpy as np
 
 from evoscm import (
-    EvolutionConfig,
     ToyThresholdEnv,
     default_policy_grammar,
     evaluate_fitness,
@@ -55,7 +54,7 @@ grammar = default_policy_grammar(spec)
 print("\ngrammar:")
 print(grammar.to_bnf())
 
-record = run_eldt(EvolutionConfig(budget=1500), grammar, env, seed=0)
+record = run_eldt(env, 1500, 0, grammar)
 print(f"episodes consumed: {record.episodes}")
 print(f"best fitness:      {record.final_objective:.2f} (optimum 50)")
 print(f"one-line policy:   {record.solution}")

@@ -12,7 +12,6 @@ orders run late, so the interesting policies outsource selectively.
 import numpy as np
 
 from evoscm import (
-    EvolutionConfig,
     MakeOrBuyEnv,
     MakeOrBuyParams,
     default_policy_grammar,
@@ -53,7 +52,7 @@ print("\nobservation features:", ", ".join(env.spec.feature_names))
 print("actions:", ", ".join(env.spec.action_labels))
 
 grammar = default_policy_grammar(env.spec)
-record = run_eldt(EvolutionConfig(budget=600), grammar, env, seed=1)
+record = run_eldt(env, 600, 1, grammar)
 print(f"\nevolved policy after {record.episodes} episodes, "
       f"mean revenue {100 * record.final_objective:.1f}:")
 print(to_text(record.artifacts["pruned_tree"], env.spec.feature_names,

@@ -10,10 +10,6 @@ constant-action leaves and learning disabled, as the no-learning control.
 
 from __future__ import annotations
 
-import functools
-import inspect
-import math
-import numbers
 import time
 
 import numpy as np
@@ -21,8 +17,8 @@ import numpy as np
 from .envs import BudgetCounter
 # Unused here, but tracers look these names up on this module.
 from .envs import evaluate_fitness, greedy_rollout  # noqa: F401
-from .evolve import (Individual, PolicySearch, crossover_one_point, replace_steady_state,
-                     select_parent)
+from .evolve import (Individual, PolicySearch, checked, crossover_one_point,
+                     replace_steady_state, select_parent)
 from .flowshop import HfsInstance, decode_list_schedule, makespan
 from .records import BestTrace, RunRecord
 from .tree import Condition, DecisionTree, LearningConfig, Leaf, Split
@@ -62,9 +58,6 @@ class SearchSpace:
         self.trace.record(value, 1, payload=candidate)
         return value
 
-    def better(self, a: float, b: float) -> bool:
-        return a > b if self.maximize else a < b
-
     def record(self, algo: str, seed, params: dict) -> RunRecord:
         """The run's record, with the budget added to ``params``."""
         return RunRecord(
@@ -81,66 +74,6 @@ def format_candidate(kind: str, candidate) -> str:
     if kind == "binary":
         return "".join(str(int(v)) for v in candidate)
     return " ".join(str(int(v)) for v in candidate)
-
-
-# Valid values of the policy-search and baseline hyperparameters, by name. A
-# size below 1 leaves a generation, colony, tournament, evaluation or tree
-# empty, and an empty generation or evaluation never ends a run.
-_SIZES = ("population_size", "colony_size", "tournament_size", "episodes_per_eval",
-          "max_depth", "genotype_length", "g_max")
-_PROBABILITIES = ("crossover_prob", "mutation_prob", "flip_prob", "swap_prob", "rho",
-                  "alpha", "gamma", "epsilon")
-_REALS = ("tau_min", "tau_max", "penalty_fitness", "q_init_low", "q_init_high")
-
-
-def check_values(values: dict):
-    """Raise ValueError unless every named hyperparameter in ``values`` has a
-    value a run can use: sizes are integers >= 1, probabilities are reals in
-    [0, 1], and other reals are finite; a bool is none of these. None keeps a
-    default that the runner resolves itself."""
-    for name, v in values.items():
-        if v is None:
-            continue
-        real = isinstance(v, numbers.Real) and not isinstance(v, bool)
-        if name in _SIZES and not (real and isinstance(v, numbers.Integral) and v >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
-        if name in _PROBABILITIES and not (real and 0.0 <= v <= 1.0):
-            raise ValueError(f"{name} must be a number in [0, 1], got {v!r}")
-        if name in _REALS and not (real and math.isfinite(v)):
-            raise ValueError(f"{name} must be a finite number, got {v!r}")
-
-
-def check_params(runner, params: dict):
-    """Raise ValueError unless ``params`` are keyword hyperparameters that
-    ``runner`` takes, with values ``check_values`` accepts and
-    0 < tau_min <= tau_max."""
-    defaults = {name: p.default
-                for name, p in inspect.signature(runner).parameters.items()
-                if p.kind is p.KEYWORD_ONLY}
-    unknown = sorted(set(params) - set(defaults))
-    if unknown:
-        raise ValueError(f"unknown {runner.__name__} params: {unknown} "
-                         f"(known: {sorted(defaults)})")
-    values = {**defaults, **params}
-    check_values(values)
-    if "tau_min" in values:
-        low, high = values["tau_min"], values["tau_max"]
-        if not 0.0 < low <= high:
-            raise ValueError(f"need 0 < tau_min <= tau_max, got {low!r}, {high!r}")
-
-
-def _checked(runner):
-    """Apply ``check_params`` to the keyword hyperparameters of every call;
-    other arguments pass through unchanged."""
-    names = {name for name, p in inspect.signature(runner).parameters.items()
-             if p.kind is p.KEYWORD_ONLY}
-
-    @functools.wraps(runner)
-    def wrapper(*args, **kwargs):
-        check_params(runner, {k: v for k, v in kwargs.items() if k in names})
-        return runner(*args, **kwargs)
-
-    return wrapper
 
 
 def random_search(space: SearchSpace, seed) -> RunRecord:
@@ -188,7 +121,7 @@ def order_crossover(a, b, rng):
     return child(a, b), child(b, a)
 
 
-@_checked
+@checked
 def ga_run(space: SearchSpace, seed, *, population_size: int = 50,
            crossover_prob: float = 0.9, tournament_size: int = 3,
            flip_prob: float = None, swap_prob: float = 0.8) -> RunRecord:
@@ -265,7 +198,7 @@ def pheromone_step(tau, rho, deposits, delta, tau_min=0.01, tau_max=10.0):
     return np.clip(out, tau_min, tau_max)
 
 
-@_checked
+@checked
 def aco_run(space: SearchSpace, seed, *, colony_size: int = 20,
             rho: float = 0.1, tau_min: float = 0.01,
             tau_max: float = 10.0) -> RunRecord:
@@ -290,11 +223,7 @@ def aco_run(space: SearchSpace, seed, *, colony_size: int = 20,
         for _ in range(min(colony_size, space.budget.remaining)):
             x = sample(tau, rng)
             ants.append((x, space.evaluate(x, rng)))
-        winner = ants[0]
-        for ant in ants[1:]:
-            if space.better(ant[1], winner[1]):
-                winner = ant
-        x, f = winner
+        x, f = (max if space.maximize else min)(ants, key=lambda ant: ant[1])
         best = space.trace.best
         if space.maximize:
             delta = f / best if best > 0 else 1.0
@@ -396,7 +325,7 @@ def subtree_mutation(a: DecisionTree, spec, rng, max_depth: int = 6) -> Decision
     return a.copy() if child.depth() > max_depth else child
 
 
-@_checked
+@checked
 def gp_evolve(env, budget: int, seed, *, population_size: int = 30,
               crossover_prob: float = 0.8, mutation_prob: float = 0.2,
               tournament_size: int = 3, max_depth: int = 6,

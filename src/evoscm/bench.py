@@ -19,23 +19,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import datagen
-from .baselines import (SearchSpace, aco_run, check_params, check_values, ga_run, gp_evolve,
-                        greedy_edd, random_search)
+from .baselines import SearchSpace, aco_run, ga_run, gp_evolve, greedy_edd, random_search
 from .envs import EnvSpec
-from .evolve import EvolutionConfig, run_eldt
+from .evolve import check_params, run_eldt
 from .flowshop import CATEGORIES, HfsEnv, decode_list_schedule, makespan
 from .grammar import Grammar, default_policy_grammar, load_bnf
 from .kvconfig import format_kv
 from .makeorbuy import MakeOrBuyEnv, MakeOrBuyParams, simulate
 from .records import RunRecord
-from .tree import LearningConfig, to_dot, to_text
+from .tree import to_dot, to_text
 
 PROBLEMS = ("makeorbuy", "hfs")
 ALGORITHMS = ("eldt", "rs", "ga", "aco", "greedy", "gp")
 POLICY_ALGOS = ("eldt", "gp")
-# The runner that ``params`` configure, by algorithm; eldt's params fill its
-# configs instead, and greedy takes none.
-RUNNERS = {"rs": random_search, "ga": ga_run, "aco": aco_run, "gp": gp_evolve}
+# The runner that ``params`` configure, by algorithm; greedy takes none.
+RUNNERS = {"eldt": run_eldt, "rs": random_search, "ga": ga_run, "aco": aco_run,
+           "gp": gp_evolve}
 HFS_SIM_PARAMS = ("assembly_areas", "capacity_e", "capacity_m", "capacity_r",
                   "machine_types", "transport_days")
 
@@ -169,8 +168,6 @@ class ExperimentConfig:
             MakeOrBuyParams.from_settings(self.sim_params)
         else:
             _check_hfs_sim_params(self.sim_params)
-        if self.algo == "eldt":
-            _eldt_configs(self)
         if self.algo in RUNNERS:
             check_params(RUNNERS[self.algo], self.params)
 
@@ -178,19 +175,6 @@ class ExperimentConfig:
     def maximize(self) -> bool:
         """Make-or-buy maximizes revenue; the flow shop minimizes makespan."""
         return self.problem == "makeorbuy"
-
-
-def _eldt_configs(cfg: ExperimentConfig) -> tuple:
-    """(EvolutionConfig, LearningConfig) from the campaign's eldt params."""
-    evolution = set(EvolutionConfig.__dataclass_fields__) - {"budget"}
-    learning = set(LearningConfig.__dataclass_fields__)
-    unknown = set(cfg.params) - evolution - learning
-    if unknown:
-        raise ValueError(f"unknown eldt params: {sorted(unknown)}")
-    check_values(cfg.params)
-    return (EvolutionConfig(budget=cfg.budget,
-                            **{k: v for k, v in cfg.params.items() if k in evolution}),
-            LearningConfig(**{k: v for k, v in cfg.params.items() if k in learning}))
 
 
 def _check_hfs_sim_params(sim_params: dict):
@@ -295,11 +279,11 @@ def _run_one(cfg: ExperimentConfig, seed: int, inputs: CampaignInputs) -> RunRec
     if algo in POLICY_ALGOS:
         env = (MakeOrBuyEnv(inputs.data, inputs.params) if cfg.problem == "makeorbuy"
                else HfsEnv(inputs.data))
+        # called by name, so that a wrapped ``bench.run_eldt`` or
+        # ``bench.gp_evolve`` is the one run
         if algo == "eldt":
-            config, learning = _eldt_configs(cfg)
-            record = run_eldt(config, inputs.grammar, env, seed, learning)
+            record = run_eldt(env, cfg.budget, seed, inputs.grammar, **cfg.params)
         else:
-            # called by name, so that a wrapped ``bench.gp_evolve`` is the one run
             record = gp_evolve(env, cfg.budget, seed, **cfg.params)
         return _scale_policy_record(record, env.objective_scale)
     if algo == "greedy":

@@ -7,13 +7,18 @@ replacement is steady-state (parents and offspring merged, best kept, ties
 prefer incumbents). Fitness is the mean episode return of the decoded tree
 with Q-learning leaves; genotypes whose derivation runs out of codons get a
 fixed penalty fitness and charge no budget. ``PolicySearch`` holds the
-budget, trace, per-individual streams and closing rollout of a policy search.
+budget, trace, per-individual streams and closing rollout of a policy search;
+``check_params`` checks every runner's keyword hyperparameters.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
+import math
+import numbers
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,43 +38,72 @@ _FINAL_TAG = 0xF1A1
 _MAX_DECODE_STALL = 10_000
 
 
-@dataclass(frozen=True)
-class EvolutionConfig:
-    """ELDT hyperparameters. ``episodes_per_eval=None`` picks 3 for
-    stochastic environments and 1 for deterministic ones.
+# Valid values of the policy-search and baseline hyperparameters, by name. A
+# size below 1 leaves a generation, colony, tournament, evaluation or tree
+# empty, and an empty generation or evaluation never ends a run.
+_SIZES = ("population_size", "colony_size", "tournament_size", "episodes_per_eval",
+          "max_depth", "genotype_length", "g_max")
+_PROBABILITIES = ("crossover_prob", "mutation_prob", "flip_prob", "swap_prob", "rho",
+                  "alpha", "gamma", "epsilon")
+_REALS = ("tau_min", "tau_max", "penalty_fitness", "q_init_low", "q_init_high")
 
-    A budget smaller than one generation's cost is allowed: the run truncates
-    mid-generation and consumes the budget exactly.
-    """
 
-    budget: int = 5000
-    population_size: int = 30
-    genotype_length: int = 100
-    g_max: int = 40000
-    mutation_prob: float = 0.05
-    crossover_prob: float = 0.5
-    tournament_size: int = 2
-    penalty_fitness: float = PENALTY_FITNESS
-    episodes_per_eval: int = None
+def check_values(values: dict):
+    """Raise ValueError unless every named hyperparameter in ``values`` has a
+    value a run can use: sizes are integers >= 1, probabilities are reals in
+    [0, 1], and other reals are finite; a bool is none of these. None keeps a
+    default that the runner resolves itself."""
+    for name, v in values.items():
+        if v is None:
+            continue
+        real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+        if name in _SIZES and not (real and isinstance(v, numbers.Integral) and v >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        if name in _PROBABILITIES and not (real and 0.0 <= v <= 1.0):
+            raise ValueError(f"{name} must be a number in [0, 1], got {v!r}")
+        if name in _REALS and not (real and math.isfinite(v)):
+            raise ValueError(f"{name} must be a finite number, got {v!r}")
 
-    def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if self.genotype_length < 2:
-            raise ValueError("genotype_length must be >= 2 (one-point "
-                             "crossover needs an interior cut)")
-        if self.g_max < 1:
-            raise ValueError("g_max must be >= 1")
-        for name in ("mutation_prob", "crossover_prob"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
-        if self.episodes_per_eval is not None and self.episodes_per_eval < 1:
-            raise ValueError("episodes_per_eval must be >= 1")
+
+def check_params(runner, params: dict):
+    """Raise ValueError unless ``params`` are keyword hyperparameters that
+    ``runner`` takes, with values ``check_values`` accepts,
+    0 < tau_min <= tau_max, q_init_low <= q_init_high and, since one-point
+    crossover needs an interior cut, genotype_length >= 2."""
+    defaults = {name: p.default
+                for name, p in inspect.signature(runner).parameters.items()
+                if p.kind is p.KEYWORD_ONLY}
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown {runner.__name__} params: {unknown} "
+                         f"(known: {sorted(defaults)})")
+    values = {**defaults, **params}
+    check_values(values)
+    if "tau_min" in values:
+        low, high = values["tau_min"], values["tau_max"]
+        if not 0.0 < low <= high:
+            raise ValueError(f"need 0 < tau_min <= tau_max, got {low!r}, {high!r}")
+    if "q_init_low" in values:
+        low, high = values["q_init_low"], values["q_init_high"]
+        if low > high:
+            raise ValueError(f"need q_init_low <= q_init_high, got {low!r}, {high!r}")
+    if values.get("genotype_length", 2) < 2:
+        raise ValueError("genotype_length must be >= 2 (one-point crossover needs "
+                         "an interior cut)")
+
+
+def checked(runner):
+    """Apply ``check_params`` to the keyword hyperparameters of every call;
+    other arguments pass through unchanged."""
+    names = {name for name, p in inspect.signature(runner).parameters.items()
+             if p.kind is p.KEYWORD_ONLY}
+
+    @functools.wraps(runner)
+    def wrapper(*args, **kwargs):
+        check_params(runner, {k: v for k, v in kwargs.items() if k in names})
+        return runner(*args, **kwargs)
+
+    return wrapper
 
 
 @dataclass(eq=False)
@@ -207,17 +241,28 @@ class PolicySearch:
                        "rollout_actions": act_log, "rollout_returns": rets})
 
 
-def run_eldt(config: EvolutionConfig, grammar: Grammar, env, seed: int,
-             learning: LearningConfig = None) -> RunRecord:
+@checked
+def run_eldt(env, budget: int, seed: int, grammar: Grammar, *, population_size: int = 30,
+             genotype_length: int = 100, g_max: int = 40000, mutation_prob: float = 0.05,
+             crossover_prob: float = 0.5, tournament_size: int = 2,
+             penalty_fitness: float = PENALTY_FITNESS, episodes_per_eval: int = None,
+             alpha: float = 0.1, gamma: float = 0.9, epsilon: float = 0.05,
+             q_init_low: float = -1.0, q_init_high: float = 1.0) -> RunRecord:
     """Evolve a decision-tree policy under an exact episode budget.
 
     ``env`` serves every episode of the run. Budget, streams and the closing
-    greedy rollout are ``PolicySearch``'s.
+    greedy rollout are ``PolicySearch``'s; ``alpha`` to ``q_init_high``
+    configure the leaves' Q-learning. A budget smaller than one
+    generation's cost is allowed: the run truncates mid-generation.
     """
-    if learning is None:
-        learning = LearningConfig()
-    search = PolicySearch(env, config.budget, seed, learning,
-                          config.episodes_per_eval)
+    params = {"budget": budget, "population_size": population_size,
+              "genotype_length": genotype_length, "g_max": g_max,
+              "mutation_prob": mutation_prob, "crossover_prob": crossover_prob,
+              "tournament_size": tournament_size, "penalty_fitness": penalty_fitness,
+              "alpha": alpha, "gamma": gamma, "epsilon": epsilon,
+              "q_init_low": q_init_low, "q_init_high": q_init_high}
+    learning = LearningConfig(alpha, gamma, epsilon, q_init_low, q_init_high)
+    search = PolicySearch(env, budget, seed, learning, episodes_per_eval)
     spec = search.spec
     rng = np.random.default_rng(np.random.SeedSequence((seed, _MASTER_TAG)))
     stall = 0
@@ -227,43 +272,38 @@ def run_eldt(config: EvolutionConfig, grammar: Grammar, env, seed: int,
         try:
             ind.tree = decode(ind.genotype, grammar, spec.feature_index)
         except IncompleteDerivation:
-            ind.fitness = config.penalty_fitness
+            ind.fitness = penalty_fitness
             stall += 1
             if stall > _MAX_DECODE_STALL:
-                raise RuntimeError(
+                raise ValueError(
                     f"{_MAX_DECODE_STALL} consecutive decode failures; "
                     "the grammar and genotype length cannot produce policies"
                 )
             return
         stall = 0
-        ind.tree.init_leaves(spec.action_count, stream,
-                             learning.q_init_low, learning.q_init_high)
+        ind.tree.init_leaves(spec.action_count, stream, q_init_low, q_init_high)
         search.evaluate(ind, stream)
 
-    population = [Individual(random_genotype(config.genotype_length, config.g_max, rng))
-                  for _ in range(config.population_size)]
+    population = [Individual(random_genotype(genotype_length, g_max, rng))
+                  for _ in range(population_size)]
     generation = 0
     search.evaluate_in_order(population, generation, score)
     for ind in population:
         if ind.fitness is None:  # truncated initialization under a tiny budget
-            ind.fitness = config.penalty_fitness
+            ind.fitness = penalty_fitness
 
     while search.budget.remaining > 0:
         generation += 1
         offspring = []
-        while len(offspring) < config.population_size:
-            p1 = select_parent(population, config.tournament_size, rng)
-            p2 = select_parent(population, config.tournament_size, rng)
+        while len(offspring) < population_size:
+            p1 = select_parent(population, tournament_size, rng)
+            p2 = select_parent(population, tournament_size, rng)
             g1, g2 = p1.genotype, p2.genotype
-            if rng.random() < config.crossover_prob:
+            if rng.random() < crossover_prob:
                 g1, g2 = crossover_one_point(g1, g2, rng)
             for g in (g1, g2):
-                if len(offspring) < config.population_size:
-                    offspring.append(
-                        Individual(mutate(g, config.mutation_prob, config.g_max, rng)))
+                if len(offspring) < population_size:
+                    offspring.append(Individual(mutate(g, mutation_prob, g_max, rng)))
         population = replace_steady_state(
             population, search.evaluate_in_order(offspring, generation, score))
-
-    params = asdict(config)
-    params.update(asdict(learning))
     return search.record("eldt", params)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from evoscm import (
-    EvolutionConfig,
     ExperimentConfig,
     MakeOrBuyParams,
     SearchSpace,
@@ -133,7 +132,7 @@ def test_criterion_04_feasibility_fuzzing():
 def eldt_toy_runs():
     grammar = default_policy_grammar(ToyThresholdEnv().spec)
     t0 = time.monotonic()
-    records = [run_eldt(EvolutionConfig(budget=2000), grammar, ToyThresholdEnv(), seed)
+    records = [run_eldt(ToyThresholdEnv(), 2000, seed, grammar)
                for seed in range(10)]
     return records, time.monotonic() - t0
 
@@ -170,9 +169,8 @@ def test_criterion_07_budget_conformance():
     runs = [random_search(space(), seed=0),
             ga_run(space(), seed=0),
             aco_run(space(), seed=0),
-            run_eldt(EvolutionConfig(budget=budget),
-                     default_policy_grammar(ToyThresholdEnv().spec),
-                     ToyThresholdEnv(), seed=0),
+            run_eldt(ToyThresholdEnv(), budget, 0,
+                     default_policy_grammar(ToyThresholdEnv().spec)),
             gp_evolve(ToyThresholdEnv(), budget, seed=0)]
     for rec in runs:
         assert rec.episodes == budget, rec.algo

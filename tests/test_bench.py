@@ -1,3 +1,4 @@
+import inspect
 import math
 import pickle
 
@@ -25,8 +26,9 @@ from evoscm import (
     wilcoxon_rank_sum,
     write_artifacts,
 )
-from evoscm.bench import load_inputs
+from evoscm.bench import RUNNERS, load_inputs
 from evoscm.datagen import DataError, default_machine_types
+from evoscm.evolve import _PROBABILITIES, _REALS, _SIZES
 
 from oracles import ranksum_p_oracle
 
@@ -180,6 +182,15 @@ class TestExperimentConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(dataset="x.csv", **kwargs)
+
+    @pytest.mark.parametrize("algo", sorted(RUNNERS))
+    def test_every_runner_hyperparameter_is_range_checked(self, algo):
+        # check_values passes a name it does not know, so a runner keyword
+        # missing from these tables would reach the run unchecked
+        keywords = [name for name, p in inspect.signature(RUNNERS[algo]).parameters.items()
+                    if p.kind is p.KEYWORD_ONLY]
+        unchecked = set(keywords) - set(_SIZES + _PROBABILITIES + _REALS)
+        assert not unchecked, f"{algo}: {sorted(unchecked)}"
 
 
 @pytest.fixture(scope="module")

@@ -289,7 +289,7 @@ class TestBadSettings:
         err = self.run_with(["--problem", "hfs", "--algo", "eldt", "--workers", "2",
                              "--dataset", hfs_dataset],
                             "--params", "temperature = 3\n", tmp_path)
-        assert "unknown eldt params" in err and "temperature" in err
+        assert "unknown run_eldt params" in err and "temperature" in err
 
     def test_start_date_is_an_unknown_makeorbuy_sim_param(self, mob_dataset, tmp_path):
         err = self.run_with(["--problem", "makeorbuy", "--algo", "eldt",
@@ -460,6 +460,20 @@ class TestWorkerFailures:
                                 "--out", str(out)])
         assert done.returncode == 1, done.stderr
         assert done.stderr.startswith("error:") and "gravity" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+
+    def test_grammar_that_never_yields_a_policy(self, mob_dataset, tmp_path):
+        # every derivation recurses on <dt> until the genotype runs out of codons
+        grammar = tmp_path / "policy.bnf"
+        grammar.write_text("<dt> ::= if <cond> then <dt> else <dt>\n"
+                           "<cond> ::= qty_a > 1\n")
+        out = tmp_path / "out"
+        done = run_cli_bounded(["run", "--problem", "makeorbuy", "--algo", "eldt",
+                                "--dataset", mob_dataset, "--grammar", str(grammar),
+                                "--budget", "20", "--runs", "1", "--out", str(out)])
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error:") and "decode failures" in done.stderr
         assert "Traceback" not in done.stderr
         assert not out.exists()
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from evoscm import (
-    EvolutionConfig,
     Individual,
     PENALTY_FITNESS,
     ToyThresholdEnv,
@@ -183,26 +182,32 @@ class TestReplaceSteadyState:
 
 
 class TestEvolutionConfig:
+    """ELDT's hyperparameters are ``run_eldt`` keywords, checked like every
+    other runner's."""
+
     def test_defaults(self):
-        cfg = EvolutionConfig()
-        assert cfg.population_size == 30
-        assert cfg.genotype_length == 100
-        assert cfg.g_max == 40000
-        assert cfg.mutation_prob == 0.05
-        assert cfg.crossover_prob == 0.5
-        assert cfg.tournament_size == 2
-        assert cfg.budget == 5000
-        assert cfg.penalty_fitness == PENALTY_FITNESS
+        env = ToyThresholdEnv()
+        rec = run_eldt(env, 1, 0, default_policy_grammar(env.spec))
+        assert rec.params == {
+            "budget": 1, "population_size": 30, "genotype_length": 100,
+            "g_max": 40000, "mutation_prob": 0.05, "crossover_prob": 0.5,
+            "tournament_size": 2, "penalty_fitness": PENALTY_FITNESS,
+            "episodes_per_eval": 3, "alpha": 0.1, "gamma": 0.9, "epsilon": 0.05,
+            "q_init_low": -1.0, "q_init_high": 1.0}
 
     def test_validation(self):
+        env = ToyThresholdEnv()
+        g = default_policy_grammar(env.spec)
         with pytest.raises(ValueError):
-            EvolutionConfig(budget=0)
+            run_eldt(env, 0, 0, g)
         with pytest.raises(ValueError):
-            EvolutionConfig(population_size=0)
+            run_eldt(env, 10, 0, g, population_size=0)
         with pytest.raises(ValueError):
-            EvolutionConfig(mutation_prob=1.5)
-        with pytest.raises(ValueError):
-            EvolutionConfig(genotype_length=1)
+            run_eldt(env, 10, 0, g, mutation_prob=1.5)
+        with pytest.raises(ValueError, match="interior cut"):
+            run_eldt(env, 10, 0, g, genotype_length=1)
+        with pytest.raises(ValueError, match="need q_init_low <= q_init_high"):
+            run_eldt(env, 10, 0, g, q_init_low=2.0, q_init_high=1.0)
 
     def test_random_genotype_bounds(self):
         g = random_genotype(100, G_MAX, np.random.default_rng(0))
@@ -212,44 +217,45 @@ class TestEvolutionConfig:
 
 class TestRunEldt:
     def test_budget_consumed_exactly_and_trace_matches(self):
-        cfg = EvolutionConfig(budget=500)
         env = ToyThresholdEnv()
         g = default_policy_grammar(env.spec)
-        rec = run_eldt(cfg, g, env, seed=0)
+        rec = run_eldt(env, 500, 0, g)
         assert rec.episodes == 500
         assert len(rec.trace) == 500
 
     def test_trace_monotone_nondecreasing(self):
-        cfg = EvolutionConfig(budget=400)
         env = ToyThresholdEnv()
         g = default_policy_grammar(env.spec)
-        rec = run_eldt(cfg, g, env, seed=1)
+        rec = run_eldt(env, 400, 1, g)
         assert all(a <= b for a, b in zip(rec.trace, rec.trace[1:]))
 
     def test_same_seed_bit_identical(self):
-        cfg = EvolutionConfig(budget=300)
         env = ToyThresholdEnv()
         g = default_policy_grammar(env.spec)
-        r1 = run_eldt(cfg, g, env, seed=5)
-        r2 = run_eldt(cfg, g, env, seed=5)
+        r1 = run_eldt(env, 300, 5, g)
+        r2 = run_eldt(env, 300, 5, g)
         assert r1 == r2  # wall_time excluded from equality
         assert r1.trace == r2.trace
         assert r1.solution == r2.solution
 
     def test_partial_final_generation_documented_truncation(self):
         # budget not divisible by population * episodes still lands exactly
-        cfg = EvolutionConfig(budget=101)
         env = ToyThresholdEnv()
         g = default_policy_grammar(env.spec)
-        rec = run_eldt(cfg, g, env, seed=2)
+        rec = run_eldt(env, 101, 2, g)
         assert rec.episodes == 101
         assert len(rec.trace) == 101
 
+    def test_population_of_one_consumes_budget_exactly(self):
+        env = ToyThresholdEnv()
+        rec = run_eldt(env, 100, 0, default_policy_grammar(env.spec), population_size=1)
+        assert rec.episodes == 100
+        assert len(rec.trace) == 100
+
     def test_artifacts_expose_pruned_tree_and_rollout(self):
-        cfg = EvolutionConfig(budget=300)
         env = ToyThresholdEnv()
         g = default_policy_grammar(env.spec)
-        rec = run_eldt(cfg, g, env, seed=3)
+        rec = run_eldt(env, 300, 3, g)
         art = rec.artifacts
         assert {"tree", "pruned_tree", "rollout_observations",
                 "rollout_actions", "rollout_returns"} <= set(art)
@@ -257,10 +263,9 @@ class TestRunEldt:
         assert len(art["pruned_tree"].leaves()) <= len(art["tree"].leaves())
 
     def test_params_record_resolved_settings(self):
-        cfg = EvolutionConfig(budget=200)
         env = ToyThresholdEnv()
         g = default_policy_grammar(env.spec)
-        rec = run_eldt(cfg, g, env, seed=4)
+        rec = run_eldt(env, 200, 4, g)
         assert rec.params["episodes_per_eval"] == 3  # stochastic default
         assert rec.params["population_size"] == 30
         assert rec.params["alpha"] == 0.1
@@ -272,8 +277,7 @@ class TestRunEldt:
         env = ToyThresholdEnv()
         spec = env.spec
         g = default_policy_grammar(spec)
-        cfg = EvolutionConfig(budget=60, genotype_length=3)
-        rec = run_eldt(cfg, g, env, seed=6)
+        rec = run_eldt(env, 60, 6, g, genotype_length=3)
         # short genotypes often fail to decode; those evals are free and the
         # run still spends the full budget on the ones that decode
         assert rec.episodes == 60

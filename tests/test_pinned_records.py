@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from evoscm import (
-    EvolutionConfig,
     SearchSpace,
     ToyThresholdEnv,
     aco_run,
@@ -61,8 +60,8 @@ def run_case(case: str, seed: int):
     if algo == "gp":
         return gp_evolve(ToyThresholdEnv(), POLICY_BUDGET, seed, population_size=10)
     env = ToyThresholdEnv()
-    config = EvolutionConfig(budget=POLICY_BUDGET, population_size=10)
-    return run_eldt(config, default_policy_grammar(env.spec), env, seed)
+    return run_eldt(env, POLICY_BUDGET, seed, default_policy_grammar(env.spec),
+                    population_size=10)
 
 
 # (final_objective, solution, len(trace)) per (case, seed).
