@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("datagen", help="generate a dataset CSV")
     gen.add_argument("--problem", required=True, choices=PROBLEMS)
     gen.add_argument("--variant", choices=datagen.HFS_VARIANTS,
-                     help="hfs dataset family (required for --problem hfs)")
+                     help="hfs dataset family (--problem hfs only, where it is required)")
     gen.add_argument("--n", type=int, required=True, help="number of orders/jobs")
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True, help="output CSV path")
@@ -95,6 +95,8 @@ def _cmd_compare(args) -> int:
 def _cmd_datagen(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if args.problem != "hfs" and args.variant is not None:
+        raise ValueError("--variant applies to --problem hfs only")
     parent = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(parent, exist_ok=True)
     if args.problem == "makeorbuy":

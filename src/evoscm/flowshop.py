@@ -397,7 +397,7 @@ class HfsEnv(Env):
 
     def step(self, action: int):
         a = int(action)
-        if not 0 <= a < self.spec.action_count:
+        if a != action or not 0 <= a < self.spec.action_count:
             raise ValueError(f"priority {action} outside 0..{self.spec.action_count - 1}")
         self._priorities.append(a)
         self._i += 1

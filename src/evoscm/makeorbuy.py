@@ -162,49 +162,77 @@ def simulate(orders, decisions, params: MakeOrBuyParams, seed) -> SimOutcome:
     n = len(orders)
     if len(decisions) != n:
         raise ValueError("need exactly one decision per order")
-    decisions = [int(d) for d in decisions]
-    if any(d not in (MAKE, BUY) for d in decisions):
+    if not set(decisions) <= {MAKE, BUY}:
         raise ValueError("decisions must be 0 (MAKE) or 1 (BUY)")
+    decisions = [int(d) for d in decisions]
     rng = np.random.default_rng(seed)
     internal = [i for i in range(n) if decisions[i] == MAKE]
     qty = ([orders[i].qty_a for i in internal],
            [orders[i].qty_b for i in internal],
            [orders[i].qty_c for i in internal])
     ranges = (params.production_a, params.production_b, params.production_c)
-    done_times = [np.cumsum(rng.uniform(lo, hi, int(sum(q)))).tolist()
-                  for q, (lo, hi) in zip(qty, ranges)]
-    total_units = sum(map(len, done_times))
+    # Completion times per plant, each ending in an inf sentinel that no
+    # stop is late enough to load, so a pick index never runs off the end.
+    done_a, done_b, done_c = [
+        np.cumsum(rng.uniform(lo, hi, int(sum(q)))).tolist() + [math.inf]
+        for q, (lo, hi) in zip(qty, ranges)]
+    units_left = len(done_a) + len(done_b) + len(done_c) - 3
 
     draw = _uniform_stream(rng)
     arrive_t = ([], [], [])  # per plant: unload times at D ...
     arrive_cum = ([], [], [])  # ... and the units of that plant shipped by then
-    if total_units:
-        travel_lo, travel_hi = params.travel
-        travel_w = travel_hi - travel_lo
-        load_lo, load_hi = params.load
-        load_w = load_hi - load_lo
-        unload_lo, unload_hi = params.unload
-        unload_w = unload_hi - unload_lo
-        picked = [0, 0, 0]
-        shipped = 0
-        t = 0.0
-        while shipped < total_units:
-            stops = []  # arrival lists of the plants loaded on this cycle
-            for comp, done in enumerate(done_times):
-                t += travel_lo + travel_w * draw()
-                k = picked[comp]
-                if k < len(done) and done[k] <= t:  # empty stops: zero dwell
-                    k_new = bisect_right(done, t, k + 1)
-                    t += load_lo + load_w * draw()
-                    shipped += k_new - k
-                    picked[comp] = k_new
-                    arrive_cum[comp].append(k_new)
-                    stops.append(arrive_t[comp])
-            t += travel_lo + travel_w * draw()
-            if stops:
-                t += unload_lo + unload_w * draw()
-                for times in stops:
-                    times.append(t)
+    (arrive_a, arrive_b, arrive_c), (cum_a, cum_b, cum_c) = arrive_t, arrive_cum
+    travel_lo, travel_hi = params.travel
+    travel_w = travel_hi - travel_lo
+    load_lo, load_hi = params.load
+    load_w = load_hi - load_lo
+    unload_lo, unload_hi = params.unload
+    unload_w = unload_hi - unload_lo
+    k_a = k_b = k_c = 0  # per plant: units picked so far
+    t = 0.0
+    # One truck cycle per pass, its stops written out: a stop loads (and
+    # draws a load time) only if its next unit is done, and usually that
+    # unit alone, so the one after it is tested before any bisect.
+    while units_left:
+        t += travel_lo + travel_w * draw()
+        loaded_a = done_a[k_a] <= t
+        if loaded_a:
+            k = k_a + 1
+            if done_a[k] <= t:
+                k = bisect_right(done_a, t, k + 1)
+            t += load_lo + load_w * draw()
+            units_left -= k - k_a
+            k_a = k
+            cum_a.append(k)
+        t += travel_lo + travel_w * draw()
+        loaded_b = done_b[k_b] <= t
+        if loaded_b:
+            k = k_b + 1
+            if done_b[k] <= t:
+                k = bisect_right(done_b, t, k + 1)
+            t += load_lo + load_w * draw()
+            units_left -= k - k_b
+            k_b = k
+            cum_b.append(k)
+        t += travel_lo + travel_w * draw()
+        loaded_c = done_c[k_c] <= t
+        if loaded_c:
+            k = k_c + 1
+            if done_c[k] <= t:
+                k = bisect_right(done_c, t, k + 1)
+            t += load_lo + load_w * draw()
+            units_left -= k - k_c
+            k_c = k
+            cum_c.append(k)
+        t += travel_lo + travel_w * draw()
+        if loaded_a or loaded_b or loaded_c:
+            t += unload_lo + unload_w * draw()
+            if loaded_a:
+                arrive_a.append(t)
+            if loaded_b:
+                arrive_b.append(t)
+            if loaded_c:
+                arrive_c.append(t)
 
     ready_day = []
     need = [0, 0, 0]
@@ -295,7 +323,7 @@ class MakeOrBuyEnv(Env):
 
     def step(self, action: int):
         a = int(action)
-        if a not in (MAKE, BUY):
+        if a != action or a not in (MAKE, BUY):
             raise ValueError(f"action must be 0 (MAKE) or 1 (BUY), got {action}")
         self._decisions.append(a)
         self._i += 1

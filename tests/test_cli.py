@@ -40,6 +40,14 @@ class TestDatagenCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--variant" in err
 
+    def test_variant_rejected_for_makeorbuy(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run_cli(["datagen", "--problem", "makeorbuy", "--variant", "d4",
+                        "--n", "5", "--seed", "0", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --variant applies to --problem hfs only\n"
+        assert not out.exists()
+
     def test_creates_parent_directories(self, tmp_path):
         out = tmp_path / "deep" / "nested" / "orders.csv"
         code = run_cli(["datagen", "--problem", "makeorbuy", "--n", "2",

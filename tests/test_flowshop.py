@@ -399,6 +399,14 @@ class TestHfsEnv:
         assert rewards[:-1] == [0.0] * 5
         assert rewards[-1] < 0
 
+    @pytest.mark.parametrize("action", [3.7, -1, 10])
+    def test_step_rejects_a_non_priority(self, action):
+        env = HfsEnv(gen_hfs("d1", 3, seed=0))
+        env.reset()
+        with pytest.raises(ValueError, match=f"priority {action} outside 0..9"):
+            env.step(action)
+        assert env._priorities == []
+
 
 class TestMachineTypeTable:
     def test_twelve_types_with_lt8p_strictly_shortest(self):

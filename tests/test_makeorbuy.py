@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,19 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(orders, [0, 2], MakeOrBuyParams(), seed=0)
 
+    @pytest.mark.parametrize("bad", [0.7, 2, "0"])
+    def test_decision_values_are_not_truncated(self, bad):
+        orders = gen_makeorbuy(3, seed=0)
+        with pytest.raises(ValueError, match=r"decisions must be 0 \(MAKE\) or 1 \(BUY\)"):
+            simulate(orders, [MAKE, bad, BUY], MakeOrBuyParams(), seed=0)
+
+    def test_decision_values_of_other_numeric_types(self):
+        orders = gen_makeorbuy(4, seed=0)
+        want = simulate(orders, [0, 1, 0, 1], MakeOrBuyParams(), seed=0)
+        for dec in ([np.int64(0), np.int64(1), 0, 1], [False, True, False, True],
+                    [0.0, 1.0, 0.0, 1.0], np.array([0, 1, 0, 1])):
+            assert simulate(orders, dec, MakeOrBuyParams(), seed=0) == want
+
     def test_late_orders_happen_under_tight_deadlines(self):
         orders = [Order(id=i, qty_a=10, qty_b=10, qty_c=10, deadline_day=1.0)
                   for i in range(5)]
@@ -182,6 +197,30 @@ class TestSimulateOracleEquivalence:
         for dec in ([MAKE] * 7, [MAKE] * 4 + [BUY] * 3):
             assert simulate(orders, dec, MakeOrBuyParams(), 3) == \
                 simulate_oracle(orders, dec, MakeOrBuyParams(), 3)
+
+    def assert_matches_oracle(self, orders, params=MakeOrBuyParams()):
+        for seed in (0, 1, 2):
+            for dec in ([MAKE] * len(orders), self.decisions(len(orders), 0.3, seed)):
+                assert simulate(orders, dec, params, seed) == \
+                    simulate_oracle(orders, dec, params, seed)
+
+    def test_plant_without_units(self):
+        # plant B never has a unit: every stop there finds nothing ready
+        orders = [dataclasses.replace(o, qty_b=0) for o in gen_makeorbuy(40, seed=3)]
+        self.assert_matches_oracle(orders)
+
+    def test_plant_done_long_before_the_others(self):
+        # plant A's few units ship on the first cycles; the truck keeps
+        # stopping there empty while B and C work through ~40 orders
+        orders = [dataclasses.replace(o, qty_a=2 if o.id == 0 else 0)
+                  for o in gen_makeorbuy(40, seed=4)]
+        self.assert_matches_oracle(orders)
+
+    def test_many_units_in_one_load_on_one_plant(self):
+        # every C unit is done at day 0, so the first stop at C loads them
+        # all at once, while A and B still load one unit at a time
+        orders = gen_makeorbuy(40, seed=5)
+        self.assert_matches_oracle(orders, MakeOrBuyParams(production_c=(0.0, 0.0)))
 
 
 class TestParams:
@@ -251,6 +290,14 @@ class TestMakeOrBuyEnv:
             ["qty_a", "qty_b", "qty_c", "days_to_deadline"]
         assert env.spec.action_labels == ("MAKE", "BUY")
         assert env.spec.stochastic
+
+    @pytest.mark.parametrize("action", [0.9, 2, -1])
+    def test_step_rejects_a_non_decision(self, action):
+        env = MakeOrBuyEnv(gen_makeorbuy(3, seed=0))
+        env.reset(0)
+        with pytest.raises(ValueError, match=r"action must be 0 \(MAKE\) or 1 \(BUY\)"):
+            env.step(action)
+        assert env._decisions == []
 
     def test_episodes_resample_sim_seed(self):
         env = MakeOrBuyEnv(gen_makeorbuy(50, seed=5))
