@@ -54,7 +54,7 @@ print("actions:", ", ".join(env.spec.action_labels))
 grammar = default_policy_grammar(env.spec)
 record = run_eldt(env, 600, 1, grammar)
 print(f"\nevolved policy after {record.episodes} episodes, "
-      f"mean revenue {100 * record.final_objective:.1f}:")
+      f"mean revenue {record.final_objective:.1f}:")
 print(to_text(record.artifacts["pruned_tree"], env.spec.feature_names,
               env.spec.action_labels))
 

@@ -113,21 +113,17 @@ def emit_trend_csv(records, path, header_lines=()):
     """
     groups = {}
     for rec in records:
-        groups.setdefault(rec.algo, []).append(rec)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["algo", "eval_index", "mean_best", "std_best"])
-        for algo in sorted(groups):
-            recs = groups[algo]
-            lengths = {len(r.trace) for r in recs}
-            if len(lengths) != 1:
-                raise ValueError(f"algorithm {algo!r} mixes trace lengths {sorted(lengths)}")
-            length = lengths.pop()
-            for idx in range(length):
-                mean, std = aggregate([r.trace[idx] for r in recs])
-                writer.writerow([algo, idx + 1, _fmt(mean), _fmt(std)])
+        groups.setdefault(rec.algo, []).append(rec.trace)
+    rows = []
+    for algo in sorted(groups):
+        lengths = {len(trace) for trace in groups[algo]}
+        if len(lengths) != 1:
+            raise ValueError(f"algorithm {algo!r} mixes trace lengths {sorted(lengths)}")
+        for idx, values in enumerate(zip(*groups[algo])):
+            mean, std = aggregate(values)
+            rows.append([algo, idx + 1, _fmt(mean), _fmt(std)])
+    datagen.write_csv(path, header_lines, ("algo", "eval_index", "mean_best", "std_best"),
+                      rows)
 
 
 @dataclass(frozen=True)
@@ -259,18 +255,6 @@ def _search_space(cfg: ExperimentConfig, inputs: CampaignInputs) -> SearchSpace:
                        maximize=cfg.maximize, budget=cfg.budget)
 
 
-def _scale_policy_record(record: RunRecord, scale: float) -> RunRecord:
-    """Convert a policy-fitness record into problem-objective units.
-
-    Fitness is always maximized; multiplying a running-max trace by a
-    negative scale yields exactly the running-min trace of the scaled
-    values, so best-so-far semantics survive the conversion.
-    """
-    record.trace = [v * scale for v in record.trace]
-    record.final_objective = record.final_objective * scale
-    return record
-
-
 def _run_one(cfg: ExperimentConfig, seed: int, inputs: CampaignInputs) -> RunRecord:
     """Run ``seed`` of the campaign on the shared inputs. A policy run builds
     its own environment, so that each run has its own flow-shop makespan
@@ -282,10 +266,8 @@ def _run_one(cfg: ExperimentConfig, seed: int, inputs: CampaignInputs) -> RunRec
         # called by name, so that a wrapped ``bench.run_eldt`` or
         # ``bench.gp_evolve`` is the one run
         if algo == "eldt":
-            record = run_eldt(env, cfg.budget, seed, inputs.grammar, **cfg.params)
-        else:
-            record = gp_evolve(env, cfg.budget, seed, **cfg.params)
-        return _scale_policy_record(record, env.objective_scale)
+            return run_eldt(env, cfg.budget, seed, inputs.grammar, **cfg.params)
+        return gp_evolve(env, cfg.budget, seed, **cfg.params)
     if algo == "greedy":
         return greedy_edd(inputs.data)
     return RUNNERS[algo](_search_space(cfg, inputs), seed, **cfg.params)
@@ -341,43 +323,25 @@ def write_artifacts(cfg: ExperimentConfig, records: list, spec: EnvSpec = None):
     out.mkdir(parents=True, exist_ok=True)
     header = _header_lines(cfg)
 
-    with open(out / "history.csv", "w", encoding="utf-8", newline="") as fh:
-        for line in header:
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["algo", "run", "seed", "eval_index", "best"])
-        for i, rec in enumerate(records):
-            for idx, value in enumerate(rec.trace):
-                writer.writerow([rec.algo, i, rec.seed, idx + 1, _fmt(value)])
-
-    with open(out / "finals.csv", "w", encoding="utf-8", newline="") as fh:
-        for line in header:
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["algo", "run", "seed", "final_objective", "episodes", "solution"])
-        for i, rec in enumerate(records):
-            writer.writerow([rec.algo, i, rec.seed, _fmt(rec.final_objective),
-                             rec.episodes, rec.solution])
-
+    datagen.write_csv(out / "history.csv", header, ("algo", "run", "seed", "eval_index", "best"),
+                      ([rec.algo, i, rec.seed, idx + 1, _fmt(value)]
+                       for i, rec in enumerate(records)
+                       for idx, value in enumerate(rec.trace)))
+    datagen.write_csv(out / "finals.csv", header,
+                      ("algo", "run", "seed", "final_objective", "episodes", "solution"),
+                      ([rec.algo, i, rec.seed, _fmt(rec.final_objective), rec.episodes,
+                        rec.solution] for i, rec in enumerate(records)))
     mean, std = aggregate([rec.final_objective for rec in records])
-    with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        for line in header:
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["algo", "problem", "dataset", "runs", "budget",
-                         "mean_final", "std_final"])
-        writer.writerow([cfg.algo, cfg.problem, cfg.dataset, len(records),
-                         cfg.budget, _fmt(mean), _fmt(std)])
-
+    datagen.write_csv(out / "summary.csv", header,
+                      ("algo", "problem", "dataset", "runs", "budget", "mean_final",
+                       "std_final"),
+                      [[cfg.algo, cfg.problem, cfg.dataset, len(records), cfg.budget,
+                        _fmt(mean), _fmt(std)]])
     emit_trend_csv(records, out / "trend.csv", header)
 
     if cfg.algo in POLICY_ALGOS:
-        best = records[0]
-        for rec in records[1:]:
-            better = (rec.final_objective > best.final_objective if cfg.maximize
-                      else rec.final_objective < best.final_objective)
-            if better:
-                best = rec
+        # the first of tied runs, in either direction
+        best = (max if cfg.maximize else min)(records, key=lambda rec: rec.final_objective)
         pruned = best.artifacts.get("pruned_tree")
         if pruned is not None:
             if spec is None:
@@ -427,9 +391,7 @@ def compare_dirs(in_dirs, out_path=None) -> list:
         u, p = wilcoxon_rank_sum(finals[a], finals[b])
         rows.append((a, b, len(finals[a]), len(finals[b]), u, p))
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["algo_a", "algo_b", "n_a", "n_b", "u_statistic", "p_value"])
-            for a, b, na, nb, u, p in rows:
-                writer.writerow([a, b, na, nb, _fmt(u), _fmt(p)])
+        datagen.write_csv(out_path, (), ("algo_a", "algo_b", "n_a", "n_b", "u_statistic",
+                                         "p_value"),
+                          ([a, b, na, nb, _fmt(u), _fmt(p)] for a, b, na, nb, u, p in rows))
     return rows

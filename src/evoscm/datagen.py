@@ -9,8 +9,10 @@ uniform on {800..1500} days. Flow-shop job lists come in four variants:
 * d4: all types, with each job assigned to one of five 73-day groups of the
   year and its basement/panel arrivals drawn inside that group's window
 
-Due dates are always basement day + uniform {20..50}. CSV loading reports
-structured errors (file, row, column) instead of stack traces.
+Due dates are always basement day + uniform {20..50}. Every table is read
+by ``_read_rows``, which reports a bad file as a ``DataError`` naming the
+file, the line and the column or value, and written by ``write_csv``, which
+the benchmark's artifacts share.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .flowshop import (ALL_MACHINE_TYPES, LT7_FAMILY, LT8_FAMILY, HfsInstance,
 from .makeorbuy import Order
 
 HFS_VARIANTS = ("d1", "d2", "d3", "d4")
+_ORDER_COLUMNS = ("id", "qty_a", "qty_b", "qty_c", "deadline_day")
+_JOB_COLUMNS = ("id", "machine_type", "due_day", "basement_day", "panel_day")
 
 # d4 splits the year into five equal 73-day groups.
 D4_GROUP_WINDOWS = ((1, 73), (74, 146), (147, 219), (220, 292), (293, 365))
@@ -60,29 +64,21 @@ def load_machine_types(path) -> dict:
 
 
 def _read_machine_types(fh, name) -> dict:
-    reader = csv.DictReader(fh)
-    needed = {"machine_type", "phase_index", "category", "duration_days"}
-    if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-        missing = sorted(needed - set(reader.fieldnames or ()))
-        raise DataError(f"{name}: missing columns {missing}")
-    rows = {}
-    for lineno, row in enumerate(reader, start=2):
-        mt = row["machine_type"].strip()
-        try:
-            idx = int(row["phase_index"])
-            cat = row["category"].strip()
-            dur = float(row["duration_days"])
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{name}, line {lineno}: {exc}") from None
-        rows.setdefault(mt, {})
-        if idx in rows[mt]:
-            raise DataError(f"{name}, line {lineno}: duplicate phase {idx} for {mt!r}")
-        rows[mt][idx] = (cat, dur)
+    phases = {}
+
+    def add(row):
+        mt, idx = row["machine_type"].strip(), int(row["phase_index"])
+        phase = (row["category"].strip(), float(row["duration_days"]))
+        if idx in phases.setdefault(mt, {}):
+            raise ValueError(f"duplicate phase {idx} for {mt!r}")
+        phases[mt][idx] = phase
+
+    _read_rows(fh, name, ("machine_type", "phase_index", "category", "duration_days"), add)
     specs = {}
-    for mt, phases in rows.items():
-        if sorted(phases) != list(range(len(phases))):
+    for mt, by_index in phases.items():
+        if sorted(by_index) != list(range(len(by_index))):
             raise DataError(f"{name}: phase indices for {mt!r} are not 0..k-1")
-        specs[mt] = tuple(phases[k] for k in range(len(phases)))
+        specs[mt] = tuple(by_index[k] for k in range(len(by_index)))
     try:
         validate_type_specs(specs)
     except ValueError as exc:
@@ -126,11 +122,8 @@ def gen_hfs(variant: str, n: int, seed, type_specs: dict = None,
 
 
 def save_makeorbuy(orders, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "qty_a", "qty_b", "qty_c", "deadline_day"])
-        for o in orders:
-            writer.writerow([o.id, o.qty_a, o.qty_b, o.qty_c, _num(o.deadline_day)])
+    write_csv(path, (), _ORDER_COLUMNS,
+              ([o.id, o.qty_a, o.qty_b, o.qty_c, _num(o.deadline_day)] for o in orders))
 
 
 def load_makeorbuy(path) -> list:
@@ -138,23 +131,9 @@ def load_makeorbuy(path) -> list:
     if not path.exists():
         raise DataError(f"{path}: no such file")
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"id", "qty_a", "qty_b", "qty_c", "deadline_day"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            missing = sorted(needed - set(reader.fieldnames or ()))
-            raise DataError(f"{path}: missing columns {missing}")
-        orders = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                orders.append(Order(
-                    id=int(row["id"]),
-                    qty_a=int(row["qty_a"]),
-                    qty_b=int(row["qty_b"]),
-                    qty_c=int(row["qty_c"]),
-                    deadline_day=float(row["deadline_day"]),
-                ))
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}, line {lineno}: {exc}") from None
+        orders = _read_rows(fh, path, _ORDER_COLUMNS, lambda row: Order(
+            id=int(row["id"]), qty_a=int(row["qty_a"]), qty_b=int(row["qty_b"]),
+            qty_c=int(row["qty_c"]), deadline_day=float(row["deadline_day"])))
     if not orders:
         raise DataError(f"{path}: no orders")
     return orders
@@ -162,12 +141,9 @@ def load_makeorbuy(path) -> list:
 
 def save_hfs(instance: HfsInstance, path):
     """Write the job list; capacities/areas/transport are load parameters."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "machine_type", "due_day", "basement_day", "panel_day"])
-        for job in instance.jobs:
-            writer.writerow([job.id, job.machine_type, _num(job.due_day),
-                             _num(job.basement_day), _num(job.panel_day)])
+    write_csv(path, (), _JOB_COLUMNS,
+              ([job.id, job.machine_type, _num(job.due_day), _num(job.basement_day),
+                _num(job.panel_day)] for job in instance.jobs))
 
 
 def load_hfs(path, type_specs: dict = None, capacities: dict = None,
@@ -179,33 +155,56 @@ def load_hfs(path, type_specs: dict = None, capacities: dict = None,
         type_specs = default_machine_types()
     if capacities is None:
         capacities = {"M": 5, "E": 5, "R": 5}
+
+    def job(row):
+        mt = row["machine_type"].strip()
+        if mt not in type_specs:
+            raise ValueError(f"unknown machine type {mt!r}")
+        return Job(id=int(row["id"]), machine_type=mt, due_day=float(row["due_day"]),
+                   basement_day=float(row["basement_day"]),
+                   panel_day=float(row["panel_day"]))
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"id", "machine_type", "due_day", "basement_day", "panel_day"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            missing = sorted(needed - set(reader.fieldnames or ()))
-            raise DataError(f"{path}: missing columns {missing}")
-        jobs = []
-        for lineno, row in enumerate(reader, start=2):
-            mt = (row["machine_type"] or "").strip()
-            if mt not in type_specs:
-                raise DataError(f"{path}, line {lineno}: unknown machine type {mt!r}")
-            try:
-                jobs.append(Job(
-                    id=int(row["id"]),
-                    machine_type=mt,
-                    due_day=float(row["due_day"]),
-                    basement_day=float(row["basement_day"]),
-                    panel_day=float(row["panel_day"]),
-                ))
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}, line {lineno}: {exc}") from None
+        jobs = _read_rows(fh, path, _JOB_COLUMNS, job)
     if not jobs:
         raise DataError(f"{path}: no jobs")
     return HfsInstance(jobs=tuple(jobs), type_specs=type_specs,
                        capacities=dict(capacities),
                        assembly_areas=assembly_areas,
                        transport_days=transport_days)
+
+
+def _read_rows(fh, name, columns, make) -> list:
+    """``make(row)`` for each row of the CSV table in ``fh``, in order. A
+    header that lacks one of ``columns``, a row with no value for one of
+    them, or a row on which ``make`` raises TypeError or ValueError is a
+    DataError that names ``name`` and, for a row, its line."""
+    reader = csv.DictReader(fh)
+    missing = sorted(set(columns) - set(reader.fieldnames or ()))
+    if missing:
+        raise DataError(f"{name}: missing columns {missing}")
+    made = []
+    for row in reader:
+        try:
+            empty = [c for c in columns if row[c] is None]
+            if empty:
+                raise ValueError(f"no value for {empty}")
+            made.append(make(row))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{name}, line {reader.line_num}: {exc}") from None
+    return made
+
+
+def write_csv(path, header_lines, columns, rows):
+    """Write ``header_lines`` (``#`` comment lines), then the CSV table of
+    ``columns`` and ``rows``: the layout that datasets and benchmark CSV
+    artifacts share."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for line in header_lines:
+            fh.write(line + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def _num(x: float) -> str:

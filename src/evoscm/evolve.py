@@ -220,11 +220,14 @@ class PolicySearch:
         return scored
 
     def record(self, algo: str, params: dict) -> RunRecord:
-        """The run's record. The best tree is re-run greedily (no
-        exploration, no learning) for one final rollout that recharges visit
-        counters, drives prune_unreached, and lands in record.artifacts;
-        those reporting episodes are not part of the optimization budget."""
-        spec, e = self.spec, self.episodes_per_eval
+        """The run's record, in objective units: returns times
+        ``env.objective_scale``, whose negative sign turns the running
+        maximum of returns into the running minimum of the objective. The
+        best tree is re-run greedily (no exploration, no learning) for one
+        final rollout that recharges visit counters, drives prune_unreached,
+        and lands in record.artifacts; those reporting episodes are not part
+        of the optimization budget."""
+        spec, e, scale = self.spec, self.episodes_per_eval, self.env.objective_scale
         best = self.trace.best_payload.tree
         best.reset_visits()
         obs_log, act_log, rets = greedy_rollout(
@@ -233,8 +236,8 @@ class PolicySearch:
         solution = to_oneline(pruned, spec.feature_names, spec.action_labels,
                               spec.category_labels)
         return RunRecord(
-            algo=algo, seed=self.seed, trace=self.trace.values,
-            final_objective=self.trace.best, solution=solution,
+            algo=algo, seed=self.seed, trace=[v * scale for v in self.trace.values],
+            final_objective=self.trace.best * scale, solution=solution,
             episodes=self.budget.consumed, params={**params, "episodes_per_eval": e},
             wall_time=time.perf_counter() - self.t0,
             artifacts={"tree": best, "pruned_tree": pruned, "rollout_observations": obs_log,

@@ -396,6 +396,8 @@ class HfsEnv(Env):
         return self._rows[0]
 
     def step(self, action: int):
+        if self._i == len(self._rows):
+            raise ValueError("the episode is over; call reset() to start the next one")
         a = int(action)
         if a != action or not 0 <= a < self.spec.action_count:
             raise ValueError(f"priority {action} outside 0..{self.spec.action_count - 1}")

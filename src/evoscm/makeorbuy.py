@@ -322,6 +322,8 @@ class MakeOrBuyEnv(Env):
         return self._rows[0]
 
     def step(self, action: int):
+        if self._i == len(self._rows):
+            raise ValueError("the episode is over; call reset() to start the next one")
         a = int(action)
         if a != action or a not in (MAKE, BUY):
             raise ValueError(f"action must be 0 (MAKE) or 1 (BUY), got {action}")

@@ -5,6 +5,7 @@ import pytest
 
 from evoscm import (
     BudgetExhausted,
+    HfsEnv,
     SearchSpace,
     ToyThresholdEnv,
     aco_run,
@@ -13,6 +14,7 @@ from evoscm import (
     gen_hfs,
     gp_evolve,
     greedy_edd,
+    lower_bounds,
     order_crossover,
     random_search,
 )
@@ -319,6 +321,12 @@ class TestGpEvolve:
             rec = gp_evolve(ToyThresholdEnv(), 500, seed=seed)
             wins += rec.final_objective >= 45.0
         assert wins >= 8
+
+    def test_flow_shop_record_is_in_makespan_units(self):
+        instance = gen_hfs("d1", 8, seed=0)
+        rec = gp_evolve(HfsEnv(instance), 60, seed=0)
+        assert rec.final_objective == rec.trace[-1] >= lower_bounds(instance)
+        assert all(a >= b for a, b in zip(rec.trace, rec.trace[1:]))
 
     def test_leaves_are_constant_actions(self):
         rec = gp_evolve(ToyThresholdEnv(), 200, seed=6)

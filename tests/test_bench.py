@@ -375,6 +375,21 @@ class TestWriteArtifacts:
         write_artifacts(cfg, [rec], load_inputs(cfg).spec)
         assert "if machine_type == AA:" in (tmp_path / "out" / "best_tree.txt").read_text()
 
+    @pytest.mark.parametrize("problem", ["makeorbuy", "hfs"])
+    def test_tied_best_runs_name_the_first(self, problem, tmp_path):
+        spec = (MakeOrBuyEnv(gen_makeorbuy(3, seed=0)) if problem == "makeorbuy"
+                else HfsEnv(gen_hfs("d1", 3, seed=0))).spec
+        cfg = ExperimentConfig(problem=problem, algo="gp", dataset="data.csv", budget=1,
+                               runs=3, out_dir=str(tmp_path))
+        worse, best = (1.0, 2.0) if cfg.maximize else (2.0, 1.0)
+        recs = [make_record("gp", seed, [value])
+                for seed, value in [(10, worse), (11, best), (12, best)]]
+        for rec in recs:
+            rec.artifacts = {"pruned_tree": DecisionTree(Leaf([0.0, 1.0]))}
+        write_artifacts(cfg, recs, spec)
+        note = (tmp_path / "best_tree.txt").read_text().splitlines()[0]
+        assert note == f"# best run seed=11 final_objective={best!r}"
+
     def test_summary_contents(self, tmp_path):
         cfg = ExperimentConfig(problem="hfs", algo="rs", dataset="jobs.csv",
                                budget=3, runs=2, out_dir=str(tmp_path))

@@ -344,6 +344,22 @@ class TestNonFinitePhaseDurations:
         assert not out.exists()
 
 
+class TestShortMachineTypeRow:
+    def test_rejected_with_file_and_line(self, hfs_dataset, tmp_path):
+        types = tmp_path / "types.csv"
+        types.write_text("machine_type,phase_index,category,duration_days\n"
+                         "LT7,0,M,2\nLT7,1\n")
+        settings = tmp_path / "sim.kv"
+        settings.write_text(f"machine_types = {types}\n")
+        out = tmp_path / "out"
+        done = run_cli_bounded(["run", "--problem", "hfs", "--algo", "greedy",
+                                "--dataset", hfs_dataset, "--sim-params", str(settings),
+                                "--out", str(out)])
+        assert done.returncode == 1, done.stdout
+        assert done.stderr.startswith(f"error: {types}, line 3:")
+        assert "Traceback" not in done.stderr and not out.exists()
+
+
 class TestNonFiniteDays:
     """A NaN or infinite day in a dataset exits 1 with the file and line,
     before any run."""

@@ -205,6 +205,31 @@ class TestHfsIo:
             load_hfs(path)
 
 
+SHORT_TABLES = {
+    load_makeorbuy: "id,qty_a,qty_b,qty_c,deadline_day\n0,1,2,3,900\n1,1,2\n",
+    load_hfs: "id,machine_type,due_day,basement_day,panel_day\n0,LT7,40,5,5\n1,LT7\n",
+    load_machine_types: "machine_type,phase_index,category,duration_days\n"
+                        "T1,0,M,2\nT1,1\n",
+}
+
+
+class TestShortRows:
+    """A row short of a value names the file, the line and the columns."""
+
+    @pytest.mark.parametrize("load", SHORT_TABLES, ids=lambda load: load.__name__)
+    def test_short_row_is_a_data_error(self, tmp_path, load):
+        path = tmp_path / "table.csv"
+        path.write_text(SHORT_TABLES[load])
+        with pytest.raises(DataError, match=r"table\.csv, line 3: no value for \["):
+            load(path)
+
+    def test_blank_lines_keep_line_numbers(self, tmp_path):
+        path = tmp_path / "orders.csv"
+        path.write_text("id,qty_a,qty_b,qty_c,deadline_day\n0,1,2,3,900\n\n1,x,2,3,900\n")
+        with pytest.raises(DataError, match="line 4"):
+            load_makeorbuy(path)
+
+
 class TestMachineTypeTable:
     def test_default_table_complete(self):
         specs = default_machine_types()

@@ -407,6 +407,20 @@ class TestHfsEnv:
             env.step(action)
         assert env._priorities == []
 
+    def test_step_after_the_terminal_one_names_reset(self):
+        inst = gen_hfs("d1", 2, seed=0)
+        env = HfsEnv(inst)
+        env.reset()
+        env.step(3)
+        env.step(4)
+        with pytest.raises(ValueError, match=r"episode is over; call reset\(\)"):
+            env.step(5)
+        assert env._priorities == [3, 4]
+        fresh = HfsEnv(inst)
+        assert [env.reset(), env.step(4), env.step(3)] == \
+            [fresh.reset(), fresh.step(4), fresh.step(3)]
+        assert env.last_schedule == fresh.last_schedule
+
 
 class TestMachineTypeTable:
     def test_twelve_types_with_lt8p_strictly_shortest(self):

@@ -299,6 +299,20 @@ class TestMakeOrBuyEnv:
             env.step(action)
         assert env._decisions == []
 
+    def test_step_after_the_terminal_one_names_reset(self):
+        orders = gen_makeorbuy(2, seed=0)
+        env = MakeOrBuyEnv(orders)
+        env.reset(7)
+        env.step(MAKE)
+        env.step(BUY)
+        with pytest.raises(ValueError, match=r"episode is over; call reset\(\)"):
+            env.step(MAKE)
+        assert env._decisions == [MAKE, BUY]
+        fresh = MakeOrBuyEnv(orders)
+        assert [env.reset(7), env.step(BUY), env.step(MAKE)] == \
+            [fresh.reset(7), fresh.step(BUY), fresh.step(MAKE)]
+        assert env.last_outcome == fresh.last_outcome
+
     def test_episodes_resample_sim_seed(self):
         env = MakeOrBuyEnv(gen_makeorbuy(50, seed=5))
         lc = LearningConfig(alpha=0.0, epsilon=0.0)
