@@ -67,7 +67,7 @@ leaf = Leaf(np.array([0.0, 0.0]))
 for step in range(8):
     action = epsilon_greedy(leaf, 0.5, rng)
     reward = 1.0 if action == 1 else 0.0
-    q_update(leaf, action, reward=reward, max_next_q=float(leaf.q.max()),
+    q_update(leaf, action, reward=reward, max_next_q=max(leaf.q),
              alpha=0.5, gamma=0.9)
     print(f"step {step}: action {spec.action_labels[action]}, q -> {leaf.q}")
 print("greedy action after training:", spec.action_labels[leaf.action])

@@ -262,14 +262,9 @@ def _random_condition(spec, rng) -> Condition:
     return Condition(feat, ">", float(thresholds[int(rng.integers(0, len(thresholds)))]))
 
 
-def _action_leaf(action: int, n_actions: int) -> Leaf:
-    q = np.zeros(n_actions)
-    q[action] = 1.0
-    return Leaf(q=q)
-
-
 def _random_leaf(spec, rng) -> Leaf:
-    return _action_leaf(int(rng.integers(0, spec.action_count)), spec.action_count)
+    action = int(rng.integers(0, spec.action_count))
+    return Leaf([float(a == action) for a in range(spec.action_count)])
 
 
 def _grow(spec, rng, depth: int, full: bool):
@@ -280,9 +275,9 @@ def _grow(spec, rng, depth: int, full: bool):
                  _grow(spec, rng, depth - 1, full))
 
 
-def _ramped_population(spec, rng, size: int, depths=(2, 4)) -> list:
+def _ramped_population(spec, rng, size: int, max_depth: int = 6) -> list:
     out = []
-    lo, hi = depths
+    lo, hi = min(2, max_depth), min(4, max_depth)
     for i in range(size):
         depth = lo + i % (hi - lo + 1)
         out.append(DecisionTree(_grow(spec, rng, depth, full=i % 2 == 0)))
@@ -344,7 +339,8 @@ def gp_evolve(env, budget: int, seed, *, population_size: int = 30,
 
     generation = 0
     population = search.evaluate_in_order(
-        [Individual(None, tree=t) for t in _ramped_population(spec, rng, population_size)],
+        [Individual(None, tree=t)
+         for t in _ramped_population(spec, rng, population_size, max_depth)],
         generation)
     while search.budget.remaining > 0:
         generation += 1

@@ -177,8 +177,9 @@ def load_hfs(path, type_specs: dict = None, capacities: dict = None,
 def _read_rows(fh, name, columns, make) -> list:
     """``make(row)`` for each row of the CSV table in ``fh``, in order. A
     header that lacks one of ``columns``, a row with no value for one of
-    them, or a row on which ``make`` raises TypeError or ValueError is a
-    DataError that names ``name`` and, for a row, its line."""
+    them or with more values than the header, or a row on which ``make``
+    raises TypeError or ValueError is a DataError that names ``name`` and,
+    for a row, its line."""
     reader = csv.DictReader(fh)
     missing = sorted(set(columns) - set(reader.fieldnames or ()))
     if missing:
@@ -189,6 +190,8 @@ def _read_rows(fh, name, columns, make) -> list:
             empty = [c for c in columns if row[c] is None]
             if empty:
                 raise ValueError(f"no value for {empty}")
+            if None in row:  # DictReader files surplus values under None
+                raise ValueError(f"{len(row[None])} more value(s) than the header")
             made.append(make(row))
         except (TypeError, ValueError) as exc:
             raise DataError(f"{name}, line {reader.line_num}: {exc}") from None

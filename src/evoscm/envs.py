@@ -178,7 +178,7 @@ def run_episode(env: Env, tree: DecisionTree, learning: LearningConfig, rng,
             break
         nxt = traverse(obs)
         if learn:
-            q_update(leaf, action, reward, max(nxt.q.tolist()), alpha, gamma)
+            q_update(leaf, action, reward, max(nxt.q), alpha, gamma)
         leaf = nxt
     return total
 

@@ -200,10 +200,9 @@ class PolicySearch:
     def evaluate(self, ind: Individual, stream):
         """Score ``ind.tree`` on the next quota of episodes and record it."""
         quota = min(self.episodes_per_eval, self.budget.remaining)
-        before = self.budget.consumed
         ind.fitness = evaluate_fitness(ind.tree, self.env, quota, stream,
                                        self.learning, self.budget)
-        self.trace.record(ind.fitness, self.budget.consumed - before, payload=ind)
+        self.trace.record(ind.fitness, quota, payload=ind)
 
     def evaluate_in_order(self, individuals: list, generation: int, score=None) -> list:
         """Call ``score(ind, stream)`` (default: ``evaluate``) on each
@@ -264,7 +263,7 @@ def run_eldt(env, budget: int, seed: int, grammar: Grammar, *, population_size: 
               "tournament_size": tournament_size, "penalty_fitness": penalty_fitness,
               "alpha": alpha, "gamma": gamma, "epsilon": epsilon,
               "q_init_low": q_init_low, "q_init_high": q_init_high}
-    learning = LearningConfig(alpha, gamma, epsilon, q_init_low, q_init_high)
+    learning = LearningConfig(alpha, gamma, epsilon)
     search = PolicySearch(env, budget, seed, learning, episodes_per_eval)
     spec = search.spec
     rng = np.random.default_rng(np.random.SeedSequence((seed, _MASTER_TAG)))
@@ -291,9 +290,6 @@ def run_eldt(env, budget: int, seed: int, grammar: Grammar, *, population_size: 
                   for _ in range(population_size)]
     generation = 0
     search.evaluate_in_order(population, generation, score)
-    for ind in population:
-        if ind.fitness is None:  # truncated initialization under a tiny budget
-            ind.fitness = penalty_fitness
 
     while search.budget.remaining > 0:
         generation += 1

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
@@ -92,13 +93,14 @@ class HfsInstance:
 
     def __post_init__(self):
         validate_type_specs(self.type_specs)
-        for category in CATEGORIES:
-            if self.capacities.get(category, 0) < 1:
-                raise ValueError(f"capacity for {category} must be >= 1")
-        if self.assembly_areas < 1:
-            raise ValueError("assembly_areas must be >= 1")
-        if self.transport_days < 0:
-            raise ValueError("transport_days must be >= 0")
+        counts = [(f"capacity for {c}", self.capacities.get(c)) for c in CATEGORIES]
+        for name, value in counts + [("assembly_areas", self.assembly_areas)]:
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not 0 <= self.transport_days < math.inf:
+            raise ValueError(f"transport_days must be a finite number >= 0, "
+                             f"got {self.transport_days!r}")
         for job in self.jobs:
             if job.machine_type not in self.type_specs:
                 raise ValueError(f"job {job.id}: unknown machine type {job.machine_type!r}")

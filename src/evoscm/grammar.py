@@ -60,10 +60,6 @@ class Grammar:
                     if _is_nonterminal(sym) and sym not in self.productions:
                         raise ValueError(f"undefined nonterminal {sym!r} in rule {lhs!r}")
 
-    @property
-    def nonterminals(self) -> list:
-        return list(self.productions)
-
     def to_bnf(self) -> str:
         lines = []
         for lhs, prods in self.productions.items():

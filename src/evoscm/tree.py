@@ -1,5 +1,5 @@
 """Decision-tree policies: traversal, epsilon-greedy action choice, Q-learning
-leaf updates, pruning of never-visited branches, and text/DOT export.
+at the leaves, pruning of never-visited branches, and text/DOT export.
 
 A tree is built from ``Split`` nodes (a binary condition on one observation
 feature) and ``Leaf`` nodes holding one Q-value per action. The leaf reached
@@ -57,19 +57,17 @@ class Condition:
 
 
 class Leaf:
-    """Q-value leaf. ``q`` is one value per action, ``visits`` counts
-    traversals that ended here, ``updates`` counts q_update calls per action."""
+    """Q-value leaf. ``q`` is a list of one float per action (None until
+    initialised), ``visits`` counts traversals that ended here."""
 
-    __slots__ = ("q", "visits", "updates")
+    __slots__ = ("q", "visits")
 
     def __init__(self, q=None, visits: int = 0):
-        self.q = None if q is None else np.asarray(q, dtype=float).copy()
+        self.q = None if q is None else [float(v) for v in q]
         self.visits = visits
-        self.updates = None if self.q is None else np.zeros(len(self.q), dtype=np.int64)
 
     def init_q(self, n_actions: int, rng, low: float = -1.0, high: float = 1.0):
-        self.q = rng.uniform(low, high, n_actions)
-        self.updates = np.zeros(n_actions, dtype=np.int64)
+        self.q = rng.uniform(low, high, n_actions).tolist()
 
     @property
     def action(self) -> int:
@@ -81,14 +79,10 @@ class Leaf:
         """
         if self.q is None:
             return 0
-        q = self.q.tolist()
-        return q.index(max(q))
+        return self.q.index(max(self.q))
 
     def copy(self) -> "Leaf":
-        out = Leaf(self.q, self.visits)
-        if self.updates is not None:
-            out.updates = self.updates.copy()
-        return out
+        return Leaf(self.q, self.visits)
 
 
 class Split:
@@ -144,7 +138,7 @@ class DecisionTree:
         return d(self.root)
 
     def init_leaves(self, n_actions: int, rng, low: float = -1.0, high: float = 1.0):
-        """Give every leaf a fresh uniform[low, high] Q-array."""
+        """Give every leaf fresh uniform[low, high] Q-values."""
         for leaf in self.leaves():
             leaf.init_q(n_actions, rng, low, high)
 
@@ -168,16 +162,12 @@ class LearningConfig:
     alpha: float = 0.1
     gamma: float = 0.9
     epsilon: float = 0.05
-    q_init_low: float = -1.0
-    q_init_high: float = 1.0
 
     def __post_init__(self):
         for name in ("alpha", "gamma", "epsilon"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.q_init_low > self.q_init_high:
-            raise ValueError("q_init_low must be <= q_init_high")
 
 
 def epsilon_greedy(leaf: Leaf, epsilon: float, rng) -> int:
@@ -194,14 +184,11 @@ def q_update(leaf: Leaf, action: int, reward: float, max_next_q: float,
     Q(s,a) <- (1 - alpha) * Q(s,a) + alpha * (reward + gamma * max_next_q)
 
     Returns the new Q-value. ``max_next_q`` must be 0 on terminal steps.
-    The arithmetic is on Python floats, which round exactly as numpy's
-    float64 scalars do.
     """
     q = leaf.q
-    new = (1.0 - alpha) * q.item(action) + alpha * (reward + gamma * max_next_q)
+    new = (1.0 - alpha) * q[action] + alpha * (reward + gamma * max_next_q)
     q[action] = new
-    leaf.updates[action] += 1
-    return float(new)
+    return new
 
 
 def _subtree_visits(node) -> int:
@@ -317,7 +304,7 @@ def to_dot(tree: DecisionTree, feature_names=None, action_labels=None,
 def parse_text(text: str, feature_names=None, action_labels=None) -> DecisionTree:
     """Parse the to_text() format back into a tree.
 
-    Parsed leaves get a one-hot Q-array reproducing the annotated action, and
+    Parsed leaves get one-hot Q-values reproducing the annotated action, and
     the annotated visit count, so the result is structurally equal to the
     exported tree.
     """
@@ -375,11 +362,7 @@ def parse_text(text: str, feature_names=None, action_labels=None) -> DecisionTre
     n_actions = len(action_labels) if action_labels is not None else max(actions_seen) + 1
     tree = DecisionTree(root)
     for leaf in tree.leaves():
-        action = leaf.q
-        q = np.zeros(n_actions)
-        q[action] = 1.0
-        leaf.q = q
-        leaf.updates = np.zeros(n_actions, dtype=np.int64)
+        leaf.q = [float(a == leaf.q) for a in range(n_actions)]
     return tree
 
 

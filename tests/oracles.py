@@ -387,7 +387,6 @@ def epsilon_greedy_oracle(leaf, epsilon, rng) -> int:
 def q_update_oracle(leaf, action, reward, max_next_q, alpha, gamma) -> float:
     new = (1.0 - alpha) * leaf.q[action] + alpha * (reward + gamma * max_next_q)
     leaf.q[action] = new
-    leaf.updates[action] += 1
     return float(new)
 
 

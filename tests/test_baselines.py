@@ -18,6 +18,7 @@ from evoscm import (
     order_crossover,
     random_search,
 )
+from evoscm.evolve import PolicySearch
 from evoscm.baselines import (
     binary_probabilities,
     pheromone_step,
@@ -315,6 +316,21 @@ class TestGpEvolve:
         rec = gp_evolve(ToyThresholdEnv(), 400, seed=5, max_depth=4)
         assert rec.artifacts["tree"].depth() <= 4
 
+    @pytest.mark.parametrize("max_depth", [1, 2, 3])
+    def test_every_individual_respects_small_depth_cap(self, monkeypatch, max_depth):
+        depths = []
+        evaluate = PolicySearch.evaluate
+
+        def spy(search, ind, stream):
+            depths.append(ind.tree.depth())
+            evaluate(search, ind, stream)
+
+        monkeypatch.setattr(PolicySearch, "evaluate", spy)
+        rec = gp_evolve(ToyThresholdEnv(), 300, seed=0, max_depth=max_depth)
+        assert len(depths) == 300 // rec.params["episodes_per_eval"]
+        assert max(depths) <= max_depth
+        assert rec.artifacts["tree"].depth() <= max_depth
+
     def test_learns_toy_threshold(self):
         wins = 0
         for seed in range(10):
@@ -331,5 +347,5 @@ class TestGpEvolve:
     def test_leaves_are_constant_actions(self):
         rec = gp_evolve(ToyThresholdEnv(), 200, seed=6)
         for leaf in rec.artifacts["tree"].leaves():
-            assert np.sum(leaf.q == 1.0) == 1
-            assert np.sum(leaf.q == 0.0) == len(leaf.q) - 1
+            assert leaf.q.count(1.0) == 1
+            assert leaf.q.count(0.0) == len(leaf.q) - 1

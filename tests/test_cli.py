@@ -360,6 +360,19 @@ class TestShortMachineTypeRow:
         assert "Traceback" not in done.stderr and not out.exists()
 
 
+class TestLongDatasetRow:
+    def test_rejected_with_file_and_line(self, tmp_path):
+        dataset = tmp_path / "orders.csv"
+        dataset.write_text("id,qty_a,qty_b,qty_c,deadline_day\n0,1,2,3,900,77\n")
+        out = tmp_path / "out"
+        done = run_cli_bounded(["run", "--problem", "makeorbuy", "--algo", "rs",
+                                "--dataset", str(dataset), "--budget", "5",
+                                "--runs", "1", "--out", str(out)])
+        assert done.returncode == 1, done.stdout
+        assert done.stderr.startswith(f"error: {dataset}, line 2: 1 more value")
+        assert "Traceback" not in done.stderr and not out.exists()
+
+
 class TestNonFiniteDays:
     """A NaN or infinite day in a dataset exits 1 with the file and line,
     before any run."""

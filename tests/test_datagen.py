@@ -230,6 +230,27 @@ class TestShortRows:
             load_makeorbuy(path)
 
 
+LONG_TABLES = {
+    load_makeorbuy: "id,qty_a,qty_b,qty_c,deadline_day\n0,1,2,3,900\n1,1,2,3,900,77\n",
+    load_hfs: "id,machine_type,due_day,basement_day,panel_day\n0,LT7,40,5,5\n"
+              "1,LT7,40,5,5,9\n",
+    load_machine_types: "machine_type,phase_index,category,duration_days\n"
+                        "T1,0,M,2\nT1,1,E,3,4\n",
+}
+
+
+class TestLongRows:
+    """A row with more values than the header names the file and the line,
+    instead of dropping the surplus."""
+
+    @pytest.mark.parametrize("load", LONG_TABLES, ids=lambda load: load.__name__)
+    def test_long_row_is_a_data_error(self, tmp_path, load):
+        path = tmp_path / "table.csv"
+        path.write_text(LONG_TABLES[load])
+        with pytest.raises(DataError, match=r"table\.csv, line 3: 1 more value"):
+            load(path)
+
+
 class TestMachineTypeTable:
     def test_default_table_complete(self):
         specs = default_machine_types()

@@ -161,7 +161,6 @@ class TestRunEpisode:
         run_episode(ConstRewardEnv(reward=1.0), tree, lc,
                     np.random.default_rng(0))
         assert list(tree.root.q) == [0.3, 0.1]
-        assert list(tree.root.updates) == [0, 0]
 
     def test_learning_moves_q_toward_reward(self):
         tree = leaf_tree((0.0, 0.0))
@@ -216,7 +215,7 @@ STEP_ENVS = {
 
 class TestRunEpisodeMatchesOracle:
     """The step loop on Python floats gives bit for bit what the numpy step
-    loop gave: returns, Q-arrays, update and visit counts, and RNG state."""
+    loop gave: returns, Q-values, visit counts and RNG state."""
 
     @pytest.mark.parametrize("kind", sorted(STEP_ENVS))
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
@@ -236,7 +235,6 @@ class TestRunEpisodeMatchesOracle:
                 assert got == want
             for leaf, ref_leaf in zip(tree.leaves(), ref.leaves()):
                 assert np.array_equal(leaf.q, ref_leaf.q)
-                assert np.array_equal(leaf.updates, ref_leaf.updates)
                 assert leaf.visits == ref_leaf.visits
             assert sum(leaf.visits for leaf in tree.leaves()) > 0
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -358,7 +356,6 @@ class TestGreedyRollout:
         tree = leaf_tree((0.2, 0.9))
         greedy_rollout(tree, ConstRewardEnv(5.0), 2, 0)
         assert list(tree.root.q) == [0.2, 0.9]
-        assert list(tree.root.updates) == [0, 0]
 
     def test_visits_accumulate_for_pruning(self):
         tree = leaf_tree((0.2, 0.9))

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from evoscm import (
     check_feasible,
     decode_list_schedule,
     gen_hfs,
+    load_hfs,
     load_machine_types,
     lower_bounds,
     makespan,
     priorities_to_permutation,
     run_episode,
+    save_hfs,
     save_schedule,
 )
 from evoscm.datagen import default_machine_types
@@ -456,6 +459,23 @@ class TestValidation:
     def test_instance_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             instance([job(0)], TWO_PHASE, m=0)
+
+    @pytest.mark.parametrize("transport", [math.nan, math.inf])
+    def test_generated_instance_rejects_non_finite_transport(self, transport):
+        with pytest.raises(ValueError, match="transport_days must be a finite number"):
+            gen_hfs("d1", 5, seed=0, transport_days=transport)
+
+    @pytest.mark.parametrize("cap", [1.5, True])
+    def test_instance_rejects_non_integer_capacity(self, cap):
+        with pytest.raises(ValueError, match="capacity for M must be an integer >= 1"):
+            instance([job(0)], TWO_PHASE, m=cap)
+
+    @pytest.mark.parametrize("areas", [1.5, True])
+    def test_loaded_instance_rejects_non_integer_assembly_areas(self, tmp_path, areas):
+        path = tmp_path / "jobs.csv"
+        save_hfs(gen_hfs("d1", 5, seed=0), path)
+        with pytest.raises(ValueError, match="assembly_areas must be an integer >= 1"):
+            load_hfs(path, assembly_areas=areas)
 
     def test_type_specs_need_positive_durations(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,9 @@ from evoscm import (
     Leaf,
     LearningConfig,
     Split,
+    ToyThresholdEnv,
     epsilon_greedy,
+    gp_evolve,
     parse_text,
     prune_unreached,
     q_update,
@@ -136,10 +138,38 @@ class TestQUpdate:
             v = q_update(leaf, 0, reward=r, max_next_q=mn, alpha=alpha, gamma=g)
             assert v == pytest.approx(r + g * mn, abs=1e-12)
 
-    def test_update_counter_increments(self):
-        leaf = make_leaf([0.0, 0.0])
-        q_update(leaf, 1, reward=1.0, max_next_q=0.0, alpha=0.1, gamma=0.9)
-        assert list(leaf.updates) == [0, 1]
+
+def _initialised_leaf():
+    leaf = Leaf()
+    leaf.init_q(3, np.random.default_rng(0))
+    return leaf
+
+
+def _updated_leaf():
+    leaf = make_leaf([0.0, 0.5])
+    q_update(leaf, 1, reward=1.0, max_next_q=0.25, alpha=0.1, gamma=0.9)
+    return leaf
+
+
+def _gp_leaf():
+    return gp_evolve(ToyThresholdEnv(), 20, seed=0).artifacts["tree"].leaves()[0]
+
+
+LEAF_SOURCES = {
+    "init_q": _initialised_leaf,
+    "ndarray": lambda: Leaf(np.array([0.25, -1.0])),
+    "copy": lambda: Leaf(np.array([0.25, -1.0]), visits=2).copy(),
+    "parse_text": lambda: parse_text("action 1  [visits=4]\n").root,
+    "gp": _gp_leaf,
+    "q_update": _updated_leaf,
+}
+
+
+@pytest.mark.parametrize("source", LEAF_SOURCES)
+def test_leaf_q_is_a_list_of_floats(source):
+    q = LEAF_SOURCES[source]().q
+    assert type(q) is list and q
+    assert all(type(v) is float for v in q)
 
 
 class TestLeafAction:
@@ -249,7 +279,6 @@ class TestLearningConfig:
     def test_defaults(self):
         lc = LearningConfig()
         assert (lc.alpha, lc.gamma, lc.epsilon) == (0.1, 0.9, 0.05)
-        assert (lc.q_init_low, lc.q_init_high) == (-1.0, 1.0)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -258,12 +287,10 @@ class TestLearningConfig:
             LearningConfig(gamma=-0.1)
         with pytest.raises(ValueError):
             LearningConfig(epsilon=2.0)
-        with pytest.raises(ValueError):
-            LearningConfig(q_init_low=2.0, q_init_high=1.0)
 
     def test_leaf_init_within_bounds(self):
         tree, _, _ = ab_tree()
         tree.init_leaves(2, np.random.default_rng(0), -1.0, 1.0)
         for leaf in tree.leaves():
-            assert np.all(leaf.q >= -1.0) and np.all(leaf.q <= 1.0)
-            assert leaf.q.shape == (2,)
+            assert all(-1.0 <= v <= 1.0 for v in leaf.q)
+            assert len(leaf.q) == 2
