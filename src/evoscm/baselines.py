@@ -14,7 +14,6 @@ import time
 
 import numpy as np
 
-from .envs import BudgetCounter
 # Unused here, but tracers look these names up on this module.
 from .envs import evaluate_fitness, greedy_rollout  # noqa: F401
 from .evolve import (Individual, PolicySearch, checked, crossover_one_point,
@@ -29,8 +28,8 @@ class SearchSpace:
 
     ``kind`` is "binary" or "permutation"; ``score(candidate, rng)`` returns
     the objective (the rng covers stochastic simulators). The space owns the
-    run's episode budget, best-so-far trace and start time: ``evaluate``
-    charges one episode per call and records the result, and ``record``
+    run's best-so-far trace, which is also its episode budget, and its start
+    time: ``evaluate`` records each result as one episode, and ``record``
     builds the run's RunRecord. A space serves one run.
     """
 
@@ -39,12 +38,9 @@ class SearchSpace:
             raise ValueError(f"kind must be 'binary' or 'permutation', got {kind!r}")
         if size < 1:
             raise ValueError("size must be >= 1")
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
+        self.trace = BestTrace(maximize, limit=budget)
         self.t0 = time.perf_counter()
         self.kind, self.size, self.score, self.maximize = kind, size, score, maximize
-        self.budget = BudgetCounter(budget)
-        self.trace = BestTrace(maximize=maximize)
 
     def random_candidate(self, rng) -> np.ndarray:
         if self.kind == "binary":
@@ -52,8 +48,7 @@ class SearchSpace:
         return rng.permutation(self.size)
 
     def evaluate(self, candidate, rng) -> float:
-        """Charge one episode, score ``candidate`` and record it."""
-        self.budget.charge(1)
+        """Score ``candidate`` and record it as one episode."""
         value = float(self.score(candidate, rng))
         self.trace.record(value, 1, payload=candidate)
         return value
@@ -64,7 +59,7 @@ class SearchSpace:
             algo=algo, seed=seed, trace=self.trace.values,
             final_objective=self.trace.best,
             solution=format_candidate(self.kind, self.trace.best_payload),
-            episodes=self.budget.consumed, params={"budget": self.budget.limit, **params},
+            episodes=len(self.trace.values), params={"budget": self.trace.limit, **params},
             wall_time=time.perf_counter() - self.t0)
 
 
@@ -80,7 +75,7 @@ def random_search(space: SearchSpace, seed) -> RunRecord:
     """Uniform sampling: fresh bits / unbiased shuffles until the budget is
     spent."""
     rng = np.random.default_rng(seed)
-    while space.budget.remaining > 0:
+    while space.trace.remaining > 0:
         space.evaluate(space.random_candidate(rng), rng)
     return space.record("rs", seed, {})
 
@@ -142,10 +137,10 @@ def ga_run(space: SearchSpace, seed, *, population_size: int = 50,
         return Individual(x, sign * space.evaluate(x, rng))
 
     population = [evaluate(space.random_candidate(rng))
-                  for _ in range(min(population_size, space.budget.remaining))]
-    while space.budget.remaining > 0:
+                  for _ in range(min(population_size, space.trace.remaining))]
+    while space.trace.remaining > 0:
         offspring = []
-        while len(offspring) < population_size and space.budget.remaining > len(offspring):
+        while len(offspring) < population_size and space.trace.remaining > len(offspring):
             c1 = select_parent(population, tournament_size, rng).genotype
             c2 = select_parent(population, tournament_size, rng).genotype
             if rng.random() < crossover_prob:
@@ -159,7 +154,7 @@ def ga_run(space: SearchSpace, seed, *, population_size: int = 50,
                         offspring.append(_flip_mutation(c, flip_prob, rng))
                     else:
                         offspring.append(_swap_mutation(c, swap_prob, rng))
-        scored = [evaluate(c) for c in offspring[:space.budget.remaining]]
+        scored = [evaluate(c) for c in offspring[:space.trace.remaining]]
         population = replace_steady_state(population, scored)
     return space.record("ga", seed, {"population_size": population_size,
                                      "crossover_prob": crossover_prob,
@@ -218,9 +213,9 @@ def aco_run(space: SearchSpace, seed, *, colony_size: int = 20,
     else:
         tau = np.ones((space.size, space.size))
         sample = sample_permutation
-    while space.budget.remaining > 0:
+    while space.trace.remaining > 0:
         ants = []
-        for _ in range(min(colony_size, space.budget.remaining)):
+        for _ in range(min(colony_size, space.trace.remaining)):
             x = sample(tau, rng)
             ants.append((x, space.evaluate(x, rng)))
         x, f = (max if space.maximize else min)(ants, key=lambda ant: ant[1])
@@ -342,7 +337,7 @@ def gp_evolve(env, budget: int, seed, *, population_size: int = 30,
         [Individual(None, tree=t)
          for t in _ramped_population(spec, rng, population_size, max_depth)],
         generation)
-    while search.budget.remaining > 0:
+    while search.trace.remaining > 0:
         generation += 1
         offspring = []
         while len(offspring) < population_size:
@@ -357,7 +352,7 @@ def gp_evolve(env, budget: int, seed, *, population_size: int = 30,
             offspring.append(Individual(None, tree=child))
         population = replace_steady_state(
             population, search.evaluate_in_order(offspring, generation))
-    return search.record("gp", {"budget": budget, "population_size": population_size,
+    return search.record("gp", {"population_size": population_size,
                                 "crossover_prob": crossover_prob,
                                 "mutation_prob": mutation_prob,
                                 "tournament_size": tournament_size, "max_depth": max_depth})

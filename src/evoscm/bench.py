@@ -145,15 +145,11 @@ class ExperimentConfig:
             raise ValueError(f"problem must be one of {PROBLEMS}, got {self.problem!r}")
         if self.algo not in ALGORITHMS:
             raise ValueError(f"algo must be one of {ALGORITHMS}, got {self.algo!r}")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
-                or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for name, low in (("budget", 1), ("runs", 1), ("workers", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                    or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.problem == "makeorbuy" and self.algo == "greedy":
             raise ValueError("greedy EDD is a flow-shop heuristic; use --problem hfs")
         if self.grammar_path is not None and self.algo != "eldt":
@@ -360,7 +356,14 @@ def write_artifacts(cfg: ExperimentConfig, records: list, spec: EnvSpec = None):
 
 def compare_dirs(in_dirs, out_path=None) -> list:
     """Pairwise rank-sum matrix over the final objectives found in each
-    directory's finals.csv. Returns rows (algo_a, algo_b, n_a, n_b, u, p)."""
+    directory's finals.csv. Returns rows (algo_a, algo_b, n_a, n_b, u, p).
+    A directory given twice (by any path) is an error, since its runs would
+    count twice."""
+    seen = set()
+    for d in in_dirs:
+        if Path(d).resolve() in seen:
+            raise ValueError(f"{d}: directory given more than once")
+        seen.add(Path(d).resolve())
     finals = {}
     for d in in_dirs:
         path = Path(d) / "finals.csv"

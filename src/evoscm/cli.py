@@ -12,6 +12,7 @@ usage errors (argparse).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -50,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="output directories of bench run")
     comp.add_argument("--out", help="write the matrix to this CSV")
     comp.add_argument("--alpha", type=float, default=0.05,
-                      help="significance level to flag (default 0.05)")
+                      help="significance level to flag, a finite number > 0 "
+                           "(default 0.05)")
 
     gen = sub.add_parser("datagen", help="generate a dataset CSV")
     gen.add_argument("--problem", required=True, choices=PROBLEMS)
@@ -85,6 +87,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if not (math.isfinite(args.alpha) and args.alpha > 0):
+        raise ValueError(f"--alpha must be a finite number > 0, got {args.alpha}")
     rows = compare_dirs(args.in_dirs, args.out)
     print("algo_a,algo_b,n_a,n_b,u_statistic,p_value,significant")
     for a, b, na, nb, u, p in rows:

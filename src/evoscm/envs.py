@@ -1,5 +1,4 @@
-"""Episodic environment contract, episode running, fitness evaluation, and
-budget accounting.
+"""Episodic environment contract, episode running and fitness evaluation.
 
 An environment exposes ``reset(seed=None) -> obs`` and ``step(action) -> (obs,
 reward, done)`` plus an ``EnvSpec`` describing its observation features, action
@@ -8,13 +7,12 @@ count, and episode length. One environment serves every episode of a run, and
 observation is a sequence of floats, one per feature (a tuple or list of
 Python floats, not necessarily an ndarray), and a reward is a float.
 Optimizers never touch simulators directly; one episode is one simulation
-execution and is the unit every budget counts.
+execution and is the unit every budget counts (``records.BestTrace``).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -112,57 +110,15 @@ class Env:
         raise NotImplementedError
 
 
-class BudgetExhausted(RuntimeError):
-    """Raised when an episode is requested past the budget limit."""
-
-
-class BudgetCounter:
-    """Thread-safe episode budget. One episode == one simulation execution."""
-
-    def __init__(self, limit: int):
-        if limit < 0:
-            raise ValueError("budget limit must be >= 0")
-        self.limit = int(limit)
-        self._consumed = 0
-        self._lock = threading.Lock()
-
-    @property
-    def consumed(self) -> int:
-        return self._consumed
-
-    @property
-    def remaining(self) -> int:
-        return self.limit - self._consumed
-
-    def try_charge(self, n: int = 1) -> bool:
-        """Atomically charge n episodes; False (and no charge) if over limit."""
-        if n < 0:
-            raise ValueError("cannot charge a negative episode count")
-        with self._lock:
-            if self._consumed + n > self.limit:
-                return False
-            self._consumed += n
-            return True
-
-    def charge(self, n: int = 1):
-        if not self.try_charge(n):
-            raise BudgetExhausted(
-                f"budget exhausted: {self._consumed}/{self.limit} consumed, wanted {n} more"
-            )
-
-
 def run_episode(env: Env, tree: DecisionTree, learning: LearningConfig, rng,
-                budget: BudgetCounter = None, seed=None) -> float:
+                seed=None) -> float:
     """Run one episode with epsilon-greedy actions and Q-learning updates.
 
     The leaf reached by the current observation is the Q-learning state; on
     non-terminal steps the update bootstraps from the next leaf's max Q, on
-    the terminal step from 0. Returns the undiscounted episode return.
-    Charges one episode on ``budget`` (refused via BudgetExhausted), then
-    starts the episode with ``env.reset(seed)``.
+    the terminal step from 0. Returns the undiscounted episode return. The
+    episode starts with ``env.reset(seed)``.
     """
-    if budget is not None:
-        budget.charge(1)
     alpha, gamma, eps = learning.alpha, learning.gamma, learning.epsilon
     learn = alpha != 0.0
     traverse, step = tree.traverse, env.step
@@ -184,26 +140,19 @@ def run_episode(env: Env, tree: DecisionTree, learning: LearningConfig, rng,
 
 
 def evaluate_fitness(tree: DecisionTree, env: Env, episodes: int, rng,
-                     learning: LearningConfig = None,
-                     budget: BudgetCounter = None) -> float:
+                     learning: LearningConfig = None) -> float:
     """Mean return over ``episodes`` episodes (compensated summation).
 
     Each episode resets ``env`` with a seed drawn from ``rng``; learning
-    stays on across the episodes of one evaluation. If the budget runs out
-    mid-evaluation the mean covers the episodes actually run; if none can
-    run, BudgetExhausted propagates.
+    stays on across the episodes of one evaluation.
     """
     if learning is None:
         learning = LearningConfig()
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    returns = []
-    for _ in range(episodes):
-        if budget is not None and budget.remaining == 0 and returns:
-            break
-        returns.append(run_episode(env, tree, learning, rng, budget,
-                                   int(rng.integers(2**63 - 1))))
-    return math.fsum(returns) / len(returns)
+    returns = [run_episode(env, tree, learning, rng, int(rng.integers(2**63 - 1)))
+               for _ in range(episodes)]
+    return math.fsum(returns) / episodes
 
 
 def greedy_rollout(tree: DecisionTree, env: Env, episodes: int, seed):

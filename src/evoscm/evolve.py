@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import BudgetCounter, evaluate_fitness, greedy_rollout
+from .envs import evaluate_fitness, greedy_rollout
 from .grammar import Grammar, IncompleteDerivation, decode
 from .records import BestTrace, RunRecord
 from .tree import LearningConfig, prune_unreached, to_oneline
@@ -175,33 +175,29 @@ class PolicySearch:
     """The search state that ELDT and tree GP share.
 
     Owns the run's environment, which serves every episode of the run, its
-    episode budget and best-so-far trace, the episodes per evaluation (3 for
+    best-so-far trace, which holds one entry per consumed episode and so is
+    also the run's episode budget, the episodes per evaluation (3 for
     stochastic environments and 1 for deterministic ones unless given), and
     the (seed, generation, index) stream of each individual, so that
     evaluation order cannot change results. Episode quotas go in index
     order, and the last evaluation may run on a partial quota so that
-    consumption equals the budget exactly; the trace holds one best-so-far
-    entry per consumed episode.
+    consumption equals the budget exactly.
     """
 
     def __init__(self, env, budget: int, seed: int, learning: LearningConfig,
                  episodes_per_eval: int = None):
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
+        self.trace = BestTrace(maximize=True, limit=budget)
         self.t0 = time.perf_counter()
         self.env = env
         self.spec = env.spec
         self.episodes_per_eval = episodes_per_eval or (3 if self.spec.stochastic else 1)
         self.seed = seed
         self.learning = learning
-        self.budget = BudgetCounter(budget)
-        self.trace = BestTrace(maximize=True)
 
     def evaluate(self, ind: Individual, stream):
         """Score ``ind.tree`` on the next quota of episodes and record it."""
-        quota = min(self.episodes_per_eval, self.budget.remaining)
-        ind.fitness = evaluate_fitness(ind.tree, self.env, quota, stream,
-                                       self.learning, self.budget)
+        quota = min(self.episodes_per_eval, self.trace.remaining)
+        ind.fitness = evaluate_fitness(ind.tree, self.env, quota, stream, self.learning)
         self.trace.record(ind.fitness, quota, payload=ind)
 
     def evaluate_in_order(self, individuals: list, generation: int, score=None) -> list:
@@ -211,7 +207,7 @@ class PolicySearch:
         score = score or self.evaluate
         scored = []
         for index, ind in enumerate(individuals):
-            if self.budget.remaining == 0:
+            if self.trace.remaining == 0:
                 break
             score(ind, np.random.default_rng(
                 np.random.SeedSequence((self.seed, generation, index))))
@@ -237,7 +233,8 @@ class PolicySearch:
         return RunRecord(
             algo=algo, seed=self.seed, trace=[v * scale for v in self.trace.values],
             final_objective=self.trace.best * scale, solution=solution,
-            episodes=self.budget.consumed, params={**params, "episodes_per_eval": e},
+            episodes=len(self.trace.values),
+            params={"budget": self.trace.limit, **params, "episodes_per_eval": e},
             wall_time=time.perf_counter() - self.t0,
             artifacts={"tree": best, "pruned_tree": pruned, "rollout_observations": obs_log,
                        "rollout_actions": act_log, "rollout_returns": rets})
@@ -257,7 +254,7 @@ def run_eldt(env, budget: int, seed: int, grammar: Grammar, *, population_size: 
     configure the leaves' Q-learning. A budget smaller than one
     generation's cost is allowed: the run truncates mid-generation.
     """
-    params = {"budget": budget, "population_size": population_size,
+    params = {"population_size": population_size,
               "genotype_length": genotype_length, "g_max": g_max,
               "mutation_prob": mutation_prob, "crossover_prob": crossover_prob,
               "tournament_size": tournament_size, "penalty_fitness": penalty_fitness,
@@ -291,7 +288,7 @@ def run_eldt(env, budget: int, seed: int, grammar: Grammar, *, population_size: 
     generation = 0
     search.evaluate_in_order(population, generation, score)
 
-    while search.budget.remaining > 0:
+    while search.trace.remaining > 0:
         generation += 1
         offspring = []
         while len(offspring) < population_size:

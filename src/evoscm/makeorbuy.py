@@ -47,6 +47,10 @@ from .envs import Env, EnvSpec, FeatureSpec
 MAKE = 0
 BUY = 1
 
+# Truck cycles one simulation may need; the default parameters need at most
+# about 12,500 at n=100, so only a tiny travel time comes near it.
+_MAX_TRUCK_CYCLES = 10**7
+
 
 @dataclass(frozen=True)
 class Order:
@@ -177,6 +181,14 @@ def simulate(orders, decisions, params: MakeOrBuyParams, seed) -> SimOutcome:
         np.cumsum(rng.uniform(lo, hi, int(sum(q)))).tolist() + [math.inf]
         for q, (lo, hi) in zip(qty, ranges)]
     units_left = len(done_a) + len(done_b) + len(done_c) - 3
+    # Each cycle takes at least 4 travel lo, and the first cycle to start
+    # after the last unit is done loads every unit left.
+    last_done = max(done_a[-2:-1] + done_b[-2:-1] + done_c[-2:-1], default=0.0)
+    cycles = last_done / (4 * params.travel[0]) + 2
+    if cycles > _MAX_TRUCK_CYCLES:
+        raise ValueError(f"travel lo {params.travel[0]!r} is too small: the truck would "
+                         f"need up to {cycles:.3g} cycles to ship production that ends "
+                         f"on day {last_done:.6g} (at most {_MAX_TRUCK_CYCLES:.0e})")
 
     draw = _uniform_stream(rng)
     arrive_t = ([], [], [])  # per plant: unload times at D ...

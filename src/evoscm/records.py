@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 
@@ -29,16 +30,25 @@ class RunRecord:
     artifacts: dict = field(default_factory=dict, compare=False, repr=False)
 
 
+class BudgetExhausted(RuntimeError):
+    """Raised when an evaluation is recorded past the budget limit."""
+
+
 class BestTrace:
-    """Per-episode best-so-far trace.
+    """Per-episode best-so-far trace, and the run's episode budget.
 
     An evaluation that cost ``count`` episodes finishes before its result is
     known, so it appends count-1 entries at the previous best and one entry
     at the updated best. The trace is monotone in the optimization direction.
+    It holds one entry per consumed episode, so it never grows past
+    ``limit`` entries; one episode is one simulation execution.
     """
 
-    def __init__(self, maximize: bool = True):
+    def __init__(self, maximize: bool, limit: int):
+        if not isinstance(limit, numbers.Integral) or isinstance(limit, bool) or limit < 1:
+            raise ValueError(f"budget must be >= 1 and an integer, got {limit!r}")
         self.maximize = maximize
+        self.limit = int(limit)
         self.values: list = []
         self.best = None
         self.best_payload = None
@@ -48,9 +58,18 @@ class BestTrace:
             return True
         return value > self.best if self.maximize else value < self.best
 
+    @property
+    def remaining(self) -> int:
+        return self.limit - len(self.values)
+
     def record(self, value: float, count: int = 1, payload=None):
+        """Record an evaluation that consumed ``count`` episodes; refused
+        (BudgetExhausted, nothing recorded) past the limit."""
         if count < 1:
             raise ValueError("an evaluation must consume at least one episode")
+        if count > self.remaining:
+            raise BudgetExhausted(f"budget exhausted: {len(self.values)}/{self.limit} "
+                                  f"consumed, wanted {count} more")
         value = float(value)
         previous = value if self.best is None else self.best
         if self.improves(value):

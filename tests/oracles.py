@@ -390,13 +390,11 @@ def q_update_oracle(leaf, action, reward, max_next_q, alpha, gamma) -> float:
     return float(new)
 
 
-def run_episode_oracle(env, tree, learning, rng, budget=None, seed=None) -> float:
+def run_episode_oracle(env, tree, learning, rng, seed=None) -> float:
     """``envs.run_episode`` with every step on numpy: ``np.argmax``/``np.max``
     over the leaf's Q-array, comparisons on numpy scalars and a Q-update in
     float64 scalars. Wrap ``env`` in ``NdarrayObsEnv`` for the observations
     environments served as ndarrays."""
-    if budget is not None:
-        budget.charge(1)
     alpha, gamma, eps = learning.alpha, learning.gamma, learning.epsilon
     learn = alpha != 0.0
     obs = env.reset(seed)

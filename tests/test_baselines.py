@@ -6,6 +6,7 @@ import pytest
 from evoscm import (
     BudgetExhausted,
     HfsEnv,
+    LearningConfig,
     SearchSpace,
     ToyThresholdEnv,
     aco_run,
@@ -57,6 +58,15 @@ def test_runners_reject_a_budget_below_one(runner, budget):
             runner(onemax_space(budget=budget), 0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda budget: onemax_space(budget=budget),
+    lambda budget: PolicySearch(ToyThresholdEnv(), budget, 0, LearningConfig()),
+], ids=["SearchSpace", "PolicySearch"])
+def test_search_cores_reject_a_fractional_budget(make):
+    with pytest.raises(ValueError, match="budget must be >= 1 and an integer, got 2.5"):
+        make(2.5)
+
+
 class TestSearchSpace:
     def test_kind_validated(self):
         with pytest.raises(ValueError):
@@ -67,7 +77,7 @@ class TestSearchSpace:
         rng = np.random.default_rng(0)
         for want in (1, 2, 3):
             space.evaluate(space.random_candidate(rng), rng)
-            assert space.budget.consumed == want
+            assert len(space.trace.values) == want
 
     def test_record_reports_the_runs_trace(self):
         space = onemax_space(n=3, budget=2)

@@ -183,6 +183,20 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(dataset="x.csv", **kwargs)
 
+    @pytest.mark.parametrize("name, value", [
+        ("budget", 2.5), ("budget", True), ("budget", "5"), ("budget", -3),
+        ("runs", 2.5), ("runs", True), ("runs", None),
+        ("workers", 1.5), ("workers", True), ("workers", 0),
+    ])
+    def test_counts_are_integers_of_at_least_one(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got "):
+            ExperimentConfig(problem="hfs", algo="rs", dataset="x.csv", **{name: value})
+
+    def test_integer_like_counts_are_accepted(self):
+        cfg = ExperimentConfig(problem="hfs", algo="rs", dataset="x.csv",
+                               budget=np.int64(7), runs=2, workers=np.int32(1))
+        assert (cfg.budget, cfg.runs, cfg.workers) == (7, 2, 1)
+
     @pytest.mark.parametrize("algo", sorted(RUNNERS))
     def test_every_runner_hyperparameter_is_range_checked(self, algo):
         # check_values passes a name it does not know, so a runner keyword

@@ -312,6 +312,19 @@ class TestBadSettings:
         assert "greedy" in err and "temperature" in err
 
 
+class TestTinyTravelTime:
+    def test_run_exits_instead_of_hanging(self, mob_dataset, tmp_path):
+        settings = tmp_path / "sim.kv"
+        settings.write_text("travel = 1e-300, 1e-300\n")
+        done = run_cli_bounded(["run", "--problem", "makeorbuy", "--algo", "rs",
+                                "--dataset", mob_dataset, "--budget", "5", "--runs", "1",
+                                "--out", str(tmp_path / "out"), "--sim-params", str(settings)],
+                               timeout=30)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: travel lo 1e-300 is too small")
+        assert "Traceback" not in done.stderr and not (tmp_path / "out").exists()
+
+
 class TestNegativeSeed:
     def test_run_rejects_a_negative_seed(self, mob_dataset, tmp_path):
         out = tmp_path / "out"
@@ -547,6 +560,34 @@ class TestCompareCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         # every p-value is below an alpha of 1.5
         assert all(ln.endswith(",yes") for ln in lines[1:])
+
+    def run_compare(self, mob_dataset, tmp_path, extra):
+        dirs = []
+        for algo in ("rs", "ga"):
+            out = tmp_path / algo
+            assert run_cli(["run", "--problem", "makeorbuy", "--algo", algo,
+                            "--dataset", mob_dataset, "--budget", "10",
+                            "--runs", "2", "--out", str(out)]) == 0
+            dirs.append(str(out))
+        return run_cli_bounded(["compare", "--in", *dirs, *extra(dirs)])
+
+    @pytest.mark.parametrize("again", [
+        lambda dirs: dirs[0],
+        lambda dirs: os.path.join(dirs[0], "..", os.path.basename(dirs[0])),
+        lambda dirs: dirs[0] + os.sep,
+    ], ids=["same-path", "dot-dot", "trailing-separator"])
+    def test_directory_given_twice(self, mob_dataset, tmp_path, again):
+        done = self.run_compare(mob_dataset, tmp_path, lambda dirs: [again(dirs)])
+        assert done.returncode == 1, done.stdout
+        assert done.stderr.startswith("error:") and "more than once" in done.stderr
+        assert "Traceback" not in done.stderr and done.stdout == ""
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0", "-0.5"])
+    def test_alpha_must_be_finite_and_positive(self, mob_dataset, tmp_path, alpha):
+        done = self.run_compare(mob_dataset, tmp_path, lambda dirs: [f"--alpha={alpha}"])
+        assert done.returncode == 1, done.stdout
+        assert done.stderr.startswith("error: --alpha must be a finite number > 0")
+        assert "Traceback" not in done.stderr and done.stdout == ""
 
     def test_missing_dir(self, tmp_path, capsys):
         code = run_cli(["compare", "--in", str(tmp_path / "missing")])

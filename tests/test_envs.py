@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from evoscm import (
-    BudgetCounter,
-    BudgetExhausted,
     Condition,
     DecisionTree,
     Env,
@@ -89,45 +87,6 @@ class TestFeatureThresholds:
         assert ths[0] == 0.0 and ths[-1] == 1000.0
 
 
-class TestBudgetCounter:
-    def test_charge_and_remaining(self):
-        b = BudgetCounter(5)
-        b.charge(2)
-        assert (b.consumed, b.remaining) == (2, 3)
-
-    def test_never_exceeds_limit(self):
-        b = BudgetCounter(2)
-        b.charge(2)
-        with pytest.raises(BudgetExhausted):
-            b.charge(1)
-        assert b.consumed == 2
-
-    def test_try_charge_refuses_gracefully(self):
-        b = BudgetCounter(1)
-        assert b.try_charge(1)
-        assert not b.try_charge(1)
-        assert b.consumed == 1
-
-    def test_thread_safety_under_contention(self):
-        import threading
-        b = BudgetCounter(10_000)
-        hits = []
-
-        def worker():
-            got = 0
-            while b.try_charge(1):
-                got += 1
-            hits.append(got)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sum(hits) == 10_000
-        assert b.consumed == 10_000
-
-
 class TestRunEpisode:
     def test_zero_reward_env_returns_zero_and_q_stays_bounded(self):
         env = ConstRewardEnv(reward=0.0, steps=50)
@@ -176,18 +135,6 @@ class TestRunEpisode:
         run_episode(ConstRewardEnv(reward=4.0, steps=1), tree, lc,
                     np.random.default_rng(0))
         assert tree.root.q[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_budget_charged_once(self):
-        b = BudgetCounter(3)
-        run_episode(ConstRewardEnv(), leaf_tree(), LearningConfig(),
-                    np.random.default_rng(0), b)
-        assert b.consumed == 1
-
-    def test_refused_when_budget_empty(self):
-        b = BudgetCounter(0)
-        with pytest.raises(BudgetExhausted):
-            run_episode(ConstRewardEnv(), leaf_tree(), LearningConfig(),
-                        np.random.default_rng(0), b)
 
 
 def full_tree(spec, depth=3, level=0):
@@ -267,12 +214,6 @@ class TestEvaluateFitness:
         fit = evaluate_fitness(leaf_tree(), ConstRewardEnv(3.0), 1,
                                np.random.default_rng(0))
         assert fit == 15.0  # 5 steps of 3
-
-    def test_budget_charged_exactly_e(self):
-        b = BudgetCounter(10)
-        evaluate_fitness(leaf_tree(), ConstRewardEnv(), 4,
-                         np.random.default_rng(0), LearningConfig(), b)
-        assert b.consumed == 4
 
     def test_equals_mean_of_individual_episodes_to_full_precision(self):
         lc = LearningConfig(alpha=0.0, epsilon=0.0)

@@ -7,7 +7,6 @@ import pytest
 
 import evoscm.flowshop
 from evoscm import (
-    BudgetCounter,
     DecisionTree,
     HfsEnv,
     HfsInstance,
@@ -353,14 +352,10 @@ class TestHfsEnv:
 
         monkeypatch.setattr(evoscm.flowshop, "decode_list_schedule", counting_decode)
         env = HfsEnv(inst)
-        budget = BudgetCounter(5)
         lc = LearningConfig(alpha=0.0, epsilon=0.0)
         tree = DecisionTree(Leaf([1.0, 0.0] + [0.0] * 8))  # always priority 0
-        returns = []
-        for consumed in (1, 2):
-            returns.append(run_episode(env, tree, lc, np.random.default_rng(0), budget,
-                                       seed=consumed))
-            assert budget.consumed == consumed
+        returns = [run_episode(env, tree, lc, np.random.default_rng(0), seed=seed)
+                   for seed in (1, 2)]
         assert returns[0] == returns[1]
         perm = priorities_to_permutation([0] * 10, inst.jobs)
         assert decoded == [perm] and len(env._makespans) == 1

@@ -65,6 +65,15 @@ class TestSimulate:
         out = simulate(orders, [BUY] * 10, MakeOrBuyParams(), seed=0)
         assert out.completion_day == [o.deadline_day for o in orders]
 
+    @pytest.mark.parametrize("travel", [1e-300, 1e-7])
+    def test_tiny_travel_time_is_refused_not_run(self, travel):
+        # the truck would need ~last completion / (4 travel) cycles
+        params = MakeOrBuyParams(travel=(travel, travel))
+        with pytest.raises(ValueError, match="travel lo .* is too small"):
+            simulate(gen_makeorbuy(5, seed=0), [MAKE] * 5, params, seed=0)
+        # with nothing to make, no truck has to run
+        assert simulate(gen_makeorbuy(5, seed=0), [BUY] * 5, params, seed=0).revenue == 350.0
+
     def test_degenerate_single_order_trace(self):
         # constant times: unit ready at 2.0; truck reaches plant A at 0.2,
         # 1.0, 1.8, 2.6 (cycle of four 0.2 legs); load 0.05, two more legs,
