@@ -43,8 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=1,
                      help="threads running the campaign's runs; results are "
                           "identical for any value, but the runs are pure Python, "
-                          "so under the GIL more threads give no speed-up "
-                          "(default 1)")
+                          "so under the GIL more threads take turns on one core "
+                          "and run slower, not faster (default 1)")
 
     comp = sub.add_parser("compare", help="pairwise rank-sum matrix over run dirs")
     comp.add_argument("--in", dest="in_dirs", nargs="+", required=True,

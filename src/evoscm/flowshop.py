@@ -14,15 +14,17 @@ so a placement whose open interval would overflow the areas is retried with
 the first phase pushed past the next area release.
 
 Everything placed so far lives in capacity profiles, one per category and one
-for the jobs' open windows: sorted breakpoints with the usage of each segment
-between them (the serial schedule-generation scheme's data structure). A
-phase query bisects to its ready time and walks forward over the segments
-until a gap of the phase's length fits under the capacity, so it costs a
-bisect plus a walk over the segments the phase crosses. The area check walks
-the segments of the job's window the same way, and a retry finds the next
-release by bisecting a sorted list of window ends. Placing an interval splits
-its profile at the interval's two ends and increments the segments between.
-Starts are always the ready time or an existing breakpoint and ends are
+for the jobs' open windows: two flat lists, the sorted breakpoints (from a
+-inf sentinel) and the usage of each segment between them (the serial
+schedule-generation scheme's data structure). A phase query bisects to its
+ready time and walks forward over the segments until a gap of the phase's
+length fits under the capacity, so it costs a bisect plus a walk over the
+segments the phase crosses. The area check walks the segments of the job's
+window the same way, and a retry finds the next release by bisecting a sorted
+list of window ends. Both walks run inline in the decoder's job loop. Placing
+an interval is one walk: bisect to its start, make that a breakpoint,
+increment segments up to its end, and make the end a breakpoint if it is not
+one. Starts are always the ready time or an existing breakpoint and ends are
 ``start + duration``; no time is computed by any other arithmetic.
 """
 
@@ -142,59 +144,21 @@ def _first_phase_index(phases, category):
     return None
 
 
-class _Profile:
-    """Piecewise-constant usage over time: ``usage[k]`` half-open intervals
-    cover every instant of [times[k], times[k + 1]); the last segment runs to
-    +inf. ``times`` starts at a -inf sentinel, so every query time falls in a
-    segment."""
-
-    __slots__ = ("times", "usage")
-
-    def __init__(self):
-        self.times = [-math.inf]
-        self.usage = [0]
-
-    def earliest(self, cap, ready, dur):
-        """Earliest t >= ready such that fewer than ``cap`` intervals cover
-        every instant of [t, t + dur). Always ``ready`` or a breakpoint."""
-        times, usage = self.times, self.usage
-        candidate = ready
-        for k in range(bisect_right(times, ready), len(times)):
-            t = times[k]
-            if usage[k - 1] >= cap:
-                candidate = t
-            elif t - candidate >= dur:
-                return candidate
-        return candidate
-
-    def _split(self, t, lo):
-        """Make ``t`` a breakpoint (searching from index ``lo``); its index."""
-        times = self.times
-        k = bisect_left(times, t, lo)
-        if k == len(times) or times[k] != t:
-            times.insert(k, t)
-            self.usage.insert(k, self.usage[k - 1])
-        return k
-
-    def add(self, start, end):
-        """Count one more interval over [start, end)."""
-        i = self._split(start, 1)
-        j = self._split(end, i)
-        usage = self.usage
-        for k in range(i, j):
-            usage[k] += 1
-
-    def peak(self, start, end):
-        """Highest usage at any instant of [start, end)."""
-        times, usage = self.times, self.usage
-        k = bisect_right(times, start) - 1
-        last = len(times)
-        peak = 0
-        while k < last and times[k] < end:
-            if usage[k] > peak:
-                peak = usage[k]
-            k += 1
-        return peak
+def _add(times, usage, start, end):
+    """Count one more interval over [start, end) in the profile ``times``,
+    ``usage``: make ``start`` a breakpoint, increment the segments up to
+    ``end``, and make ``end`` a breakpoint carrying the usage it had."""
+    k = bisect_left(times, start, 1)
+    if k == len(times) or times[k] != start:
+        times.insert(k, start)
+        usage.insert(k, usage[k - 1])
+    last = len(times)
+    while k < last and times[k] < end:
+        usage[k] += 1
+        k += 1
+    if k == last or times[k] != end:
+        times.insert(k, end)
+        usage.insert(k, usage[k - 1] - 1)
 
 
 def decode_list_schedule(instance: HfsInstance, permutation) -> Schedule:
@@ -204,44 +168,72 @@ def decode_list_schedule(instance: HfsInstance, permutation) -> Schedule:
     Per job: phase k starts no earlier than phase k-1 ends; the first M phase
     waits for the basement, the first E phase for the panels; every instant
     respects the per-category capacity and the open-jobs area limit. Raises
-    ValueError unless ``permutation`` is a bijection over 0..n-1.
+    ValueError unless ``permutation`` is a bijection over 0..n-1 given as
+    integers.
     """
     n = len(instance.jobs)
-    perm = [int(p) for p in permutation]
-    if sorted(perm) != list(range(n)):
+    entries = list(permutation)
+    try:
+        perm = [int(p) for p in entries]
+    except (TypeError, ValueError, OverflowError):
+        perm = None
+    if perm != entries or sorted(perm) != list(range(n)):
         raise ValueError("permutation must be a bijection over job indices 0..n-1")
-    profiles = {category: _Profile() for category in CATEGORIES}
-    areas = _Profile()
+    # A profile is piecewise-constant usage: usage[k] intervals cover every
+    # instant of [times[k], times[k + 1]), the last segment runs to +inf, and
+    # the -inf sentinel puts every query time in a segment.
+    profiles = {category: ([-math.inf], [0]) for category in CATEGORIES}
+    area_times, area_usage = [-math.inf], [0]
+    areas = instance.assembly_areas
+    plans = {}
+    for name, phases in instance.type_specs.items():
+        first_m = _first_phase_index(phases, "M")
+        first_e = _first_phase_index(phases, "E")
+        plans[name] = tuple(
+            (category, dur, *profiles[category], instance.capacities[category],
+             k == first_m, k == first_e)
+            for k, (category, dur) in enumerate(phases))
     window_ends = []
     placed = [None] * n
     for j in perm:
         job = instance.jobs[j]
-        phases = instance.type_specs[job.machine_type]
-        first_m = _first_phase_index(phases, "M")
-        first_e = _first_phase_index(phases, "E")
+        plan = plans[job.machine_type]
+        basement, panels = job.basement_day, job.panel_day
         push = 0.0
         while True:
             spans = []
-            prev_end = None
-            for k, (category, dur) in enumerate(phases):
-                lo = push if prev_end is None else prev_end
-                if k == first_m:
-                    lo = max(lo, job.basement_day)
-                if k == first_e:
-                    lo = max(lo, job.panel_day)
-                start = profiles[category].earliest(instance.capacities[category], lo, dur)
-                spans.append((category, start, start + dur))
-                prev_end = start + dur
-            window_start, window_end = spans[0][1], spans[-1][2]
-            if areas.peak(window_start, window_end) < instance.assembly_areas:
+            lo = push
+            for category, dur, times, usage, cap, first_m, first_e in plan:
+                if first_m and basement > lo:
+                    lo = basement
+                if first_e and panels > lo:
+                    lo = panels
+                # Earliest start >= lo with fewer than cap intervals over
+                # [start, start + dur): lo or a breakpoint.
+                start = lo
+                for k in range(bisect_right(times, lo), len(times)):
+                    t = times[k]
+                    if usage[k - 1] >= cap:
+                        start = t
+                    elif t - start >= dur:
+                        break
+                lo = start + dur
+                spans.append((category, start, lo))
+            window_start, window_end = spans[0][1], lo
+            # The job fits unless some segment of its window is at the limit.
+            k = bisect_right(area_times, window_start) - 1
+            last = len(area_times)
+            while k < last and area_times[k] < window_end and area_usage[k] < areas:
+                k += 1
+            if k == last or area_times[k] >= window_end:
                 break
             k = bisect_right(window_ends, window_start)
             if k == len(window_ends):
                 raise RuntimeError("area overflow with no pending release")
             push = window_ends[k]
-        for category, start, end in spans:
-            profiles[category].add(start, end)
-        areas.add(window_start, window_end)
+        for row, (_, start, end) in zip(plan, spans):
+            _add(row[2], row[3], start, end)
+        _add(area_times, area_usage, window_start, window_end)
         insort(window_ends, window_end)
         placed[j] = spans
     delivery = [placed[j][-1][2] + instance.transport_days for j in range(n)]

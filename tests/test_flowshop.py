@@ -127,6 +127,19 @@ class TestDecodeAnchors:
         with pytest.raises(ValueError):
             decode_list_schedule(inst, [0])
 
+    @pytest.mark.parametrize("perm", [[2.7, 0, 1], ["2", 0, 1], [math.inf, 0, 1],
+                                      [math.nan, 0, 1], [None, 0, 1]])
+    def test_non_integer_entries_rejected(self, perm):
+        inst = instance([job(0), job(1), job(2)], TWO_PHASE)
+        with pytest.raises(ValueError, match="bijection"):
+            decode_list_schedule(inst, perm)
+
+    def test_integral_entries_of_any_type_accepted(self):
+        inst = instance([job(0), job(1), job(2)], TWO_PHASE)
+        want = decode_list_schedule(inst, [2, 0, 1])
+        assert decode_list_schedule(inst, [2.0, 0, 1]) == want
+        assert decode_list_schedule(inst, np.array([2, 0, 1])) == want
+
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         inst = rand_instance(rng)
@@ -194,6 +207,31 @@ class TestSweepOracleEquivalence:
                 got = decode_list_schedule(inst, perm)
                 want_phases, want_delivery = sweep_schedule_oracle(inst, perm)
                 assert got.phases == want_phases, (variant, n, inst.assembly_areas)
+                assert got.delivery == want_delivery
+
+    def test_fractional_times_match_sweep_oracle(self):
+        # Every packaged type has integer-day phases with its M phases
+        # adjacent; these do not, so ends like 0.1 + 0.7 carry float rounding.
+        specs = {
+            "A": (("M", 1.3), ("E", 0.7), ("M", 0.1), ("R", 2.9)),
+            "B": (("E", 0.7), ("R", 0.1), ("M", 1.3)),
+            "C": (("R", 0.3), ("M", 2.2), ("E", 1.1), ("M", 0.7), ("R", 0.1)),
+        }
+        rng = np.random.default_rng(15)
+        n = 60
+        jobs = tuple(
+            Job(id=i, machine_type=("A", "B", "C")[int(rng.integers(3))],
+                due_day=100.0, basement_day=int(rng.integers(0, 300)) / 10,
+                panel_day=int(rng.integers(0, 300)) / 10)
+            for i in range(n))
+        for areas in (1, 2, 3):
+            for cap in (1, 2):
+                inst = instance(jobs, specs, m=cap, e=cap, r=cap, areas=areas,
+                                transport=0.3)
+                perm = [int(p) for p in rng.permutation(n)]
+                got = decode_list_schedule(inst, perm)
+                want_phases, want_delivery = sweep_schedule_oracle(inst, perm)
+                assert got.phases == want_phases, (areas, cap)
                 assert got.delivery == want_delivery
 
 
