@@ -40,6 +40,7 @@ from .envs import (
     Env,
     EnvSpec,
     FeatureSpec,
+    RowEnv,
     ToyThresholdEnv,
     evaluate_fitness,
     greedy_rollout,
@@ -95,83 +96,3 @@ from .tree import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BUY",
-    "BestTrace",
-    "BudgetExhausted",
-    "Condition",
-    "DataError",
-    "DecisionTree",
-    "Env",
-    "EnvSpec",
-    "ExperimentConfig",
-    "FeatureSpec",
-    "Grammar",
-    "HfsEnv",
-    "HfsInstance",
-    "IncompleteDerivation",
-    "Individual",
-    "Job",
-    "Leaf",
-    "LearningConfig",
-    "MAKE",
-    "MakeOrBuyEnv",
-    "MakeOrBuyParams",
-    "Order",
-    "PENALTY_FITNESS",
-    "RunRecord",
-    "Schedule",
-    "SearchSpace",
-    "SimOutcome",
-    "Split",
-    "ToyThresholdEnv",
-    "aco_run",
-    "aggregate",
-    "check_feasible",
-    "compare_dirs",
-    "decode",
-    "decode_list_schedule",
-    "default_machine_types",
-    "default_policy_grammar",
-    "emit_trend_csv",
-    "epsilon_greedy",
-    "evaluate_fitness",
-    "format_candidate",
-    "format_kv",
-    "ga_run",
-    "gen_hfs",
-    "gen_makeorbuy",
-    "gp_evolve",
-    "greedy_edd",
-    "greedy_rollout",
-    "load_bnf",
-    "load_hfs",
-    "load_kv",
-    "load_machine_types",
-    "load_makeorbuy",
-    "lower_bounds",
-    "makespan",
-    "order_crossover",
-    "parse_bnf",
-    "parse_kv",
-    "parse_text",
-    "priorities_to_permutation",
-    "prune_unreached",
-    "q_update",
-    "random_search",
-    "revenue",
-    "run_eldt",
-    "run_episode",
-    "run_experiment",
-    "save_hfs",
-    "save_makeorbuy",
-    "save_schedule",
-    "simulate",
-    "structurally_equal",
-    "to_dot",
-    "to_oneline",
-    "to_text",
-    "wilcoxon_rank_sum",
-    "write_artifacts",
-]

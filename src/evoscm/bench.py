@@ -11,7 +11,6 @@ byte-identical files regardless of the worker count.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import numbers
@@ -20,7 +19,7 @@ from pathlib import Path
 
 from . import datagen
 from .baselines import SearchSpace, aco_run, ga_run, gp_evolve, greedy_edd, random_search
-from .envs import EnvSpec
+from .envs import HORIZON_DAYS, EnvSpec
 from .evolve import check_params, run_eldt
 from .flowshop import CATEGORIES, HfsEnv, decode_list_schedule, makespan
 from .grammar import Grammar, default_policy_grammar, load_bnf
@@ -182,7 +181,8 @@ def _check_hfs_sim_params(sim_params: dict):
         elif isinstance(value, bool) or not isinstance(value, numbers.Real):
             ok, want = False, "a number"
         elif key == "transport_days":
-            ok, want = 0 <= value < math.inf, "a finite number >= 0"
+            ok = 0 <= value <= HORIZON_DAYS
+            want = f"a finite number >= 0 and <= {HORIZON_DAYS}"
         else:
             ok, want = isinstance(value, numbers.Integral) and value >= 1, "an integer >= 1"
         if not ok:
@@ -364,28 +364,25 @@ def compare_dirs(in_dirs, out_path=None) -> list:
         if Path(d).resolve() in seen:
             raise ValueError(f"{d}: directory given more than once")
         seen.add(Path(d).resolve())
+
+    def final(row):
+        text = row["final_objective"]
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"final_objective must be a finite number, got {text!r}")
+        return row["algo"], value
+
     finals = {}
     for d in in_dirs:
         path = Path(d) / "finals.csv"
         if not path.exists():
             raise datagen.DataError(f"{path}: no such file")
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            body = [(n, ln) for n, ln in enumerate(fh, start=1) if not ln.startswith("#")]
-        reader = csv.DictReader(ln for _, ln in body)
-        missing = sorted({"algo", "final_objective"} - set(reader.fieldnames or ()))
-        if missing:
-            raise datagen.DataError(f"{path}: missing columns {missing}")
-        for row in reader:
-            text = row["final_objective"]
-            try:
-                value = float(text)
-            except (TypeError, ValueError):
-                value = math.nan
-            if not math.isfinite(value):
-                raise datagen.DataError(f"{path}, line {body[reader.line_num - 1][0]}: "
-                                        f"final_objective must be a finite number, "
-                                        f"got {text!r}")
-            finals.setdefault(row["algo"], []).append(value)
+            for algo, value in datagen._read_rows(fh, path, ("algo", "final_objective"), final):
+                finals.setdefault(algo, []).append(value)
     algos = sorted(finals)
     if len(algos) < 2:
         raise ValueError("compare needs finals from at least two algorithms")

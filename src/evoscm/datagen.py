@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -175,12 +176,16 @@ def load_hfs(path, type_specs: dict = None, capacities: dict = None,
 
 
 def _read_rows(fh, name, columns, make) -> list:
-    """``make(row)`` for each row of the CSV table in ``fh``, in order. A
-    header that lacks one of ``columns``, a row with no value for one of
-    them or with more values than the header, or a row on which ``make``
-    raises TypeError or ValueError is a DataError that names ``name`` and,
-    for a row, its line."""
-    reader = csv.DictReader(fh)
+    """``make(row)`` for each row of the CSV table in ``fh``, in order,
+    after any leading ``#`` lines (``write_csv``'s header lines). A header
+    that lacks one of ``columns``, a row with no value for one of them or
+    with more values than the header, or a row on which ``make`` raises
+    TypeError or ValueError is a DataError that names ``name`` and, for a
+    row, its line in the file."""
+    skipped, first = 0, fh.readline()
+    while first.startswith("#"):
+        skipped, first = skipped + 1, fh.readline()
+    reader = csv.DictReader(itertools.chain((first,), fh))
     missing = sorted(set(columns) - set(reader.fieldnames or ()))
     if missing:
         raise DataError(f"{name}: missing columns {missing}")
@@ -194,7 +199,7 @@ def _read_rows(fh, name, columns, make) -> list:
                 raise ValueError(f"{len(row[None])} more value(s) than the header")
             made.append(make(row))
         except (TypeError, ValueError) as exc:
-            raise DataError(f"{name}, line {reader.line_num}: {exc}") from None
+            raise DataError(f"{name}, line {skipped + reader.line_num}: {exc}") from None
     return made
 
 

@@ -20,6 +20,10 @@ import numpy as np
 
 from .tree import DecisionTree, LearningConfig, epsilon_greedy, q_update
 
+# The latest day, and the longest duration in days, that a problem's data may
+# name: far past any plan, and small enough that sums of days stay finite.
+HORIZON_DAYS = 10**6
+
 
 @dataclass(frozen=True)
 class FeatureSpec:
@@ -108,6 +112,39 @@ class Env:
 
     def step(self, action: int) -> tuple[Sequence[float], float, bool]:
         raise NotImplementedError
+
+
+class RowEnv(Env):
+    """An episode over a fixed table of observation rows: step i observes
+    row i whatever was chosen before, and records one action per row. Every
+    reward is 0 but the last, which is ``objective(actions) /
+    objective_scale``. Subclasses define ``objective``."""
+
+    def __init__(self, rows: tuple, spec: EnvSpec):
+        self.rows = rows
+        self.spec = spec
+        self.actions = []
+
+    def objective(self, actions: list) -> float:
+        """The problem's objective for one action per row."""
+        raise NotImplementedError
+
+    def reset(self, seed=None) -> Sequence[float]:
+        self.actions = []
+        return self.rows[0]
+
+    def step(self, action: int):
+        actions, rows = self.actions, self.rows
+        i = len(actions) + 1
+        if i > len(rows):
+            raise ValueError("the episode is over; call reset() to start the next one")
+        a = int(action)
+        if a != action or not 0 <= a < self.spec.action_count:
+            raise ValueError(f"action {action} outside 0..{self.spec.action_count - 1}")
+        actions.append(a)
+        if i < len(rows):
+            return rows[i], 0.0, False
+        return (0.0,) * len(rows[0]), self.objective(actions) / self.objective_scale, True
 
 
 def run_episode(env: Env, tree: DecisionTree, learning: LearningConfig, rng,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envs import Env, EnvSpec, FeatureSpec
+from .envs import HORIZON_DAYS, EnvSpec, FeatureSpec, RowEnv
 
 CATEGORIES = ("M", "E", "R")
 
@@ -62,17 +62,18 @@ class Job:
     panel_day: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.due_day, self.basement_day, self.panel_day))):
-            raise ValueError(f"job {self.id}: days must be finite numbers")
-        if self.basement_day < 0 or self.panel_day < 0:
-            raise ValueError(f"job {self.id}: arrival days must be >= 0")
+        for name in ("due_day", "basement_day", "panel_day"):
+            day = getattr(self, name)
+            if not 0 <= day <= HORIZON_DAYS:
+                raise ValueError(f"job {self.id}: {name} must be a finite number "
+                                 f">= 0 and <= {HORIZON_DAYS}, got {day!r}")
         if self.due_day < self.basement_day:
             raise ValueError(f"job {self.id}: due_day before basement_day")
 
 
 def validate_type_specs(type_specs: dict):
     """Each machine type maps to a non-empty ordered (category, duration)
-    phase list with known categories and positive finite durations."""
+    phase list with known categories and durations in (0, HORIZON_DAYS]."""
     for name, phases in type_specs.items():
         if not phases:
             raise ValueError(f"machine type {name!r} has no phases")
@@ -80,9 +81,9 @@ def validate_type_specs(type_specs: dict):
             if category not in CATEGORIES:
                 raise ValueError(
                     f"machine type {name!r} phase {k}: unknown category {category!r}")
-            if not 0 < duration < math.inf:
-                raise ValueError(f"machine type {name!r} phase {k}: duration must be "
-                                 f"a finite number > 0, got {duration!r}")
+            if not 0 < duration <= HORIZON_DAYS:
+                raise ValueError(f"machine type {name!r} phase {k}: duration must be a "
+                                 f"finite number > 0 and <= {HORIZON_DAYS}, got {duration!r}")
 
 
 @dataclass(frozen=True)
@@ -100,9 +101,9 @@ class HfsInstance:
             if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
                     or value < 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not 0 <= self.transport_days < math.inf:
-            raise ValueError(f"transport_days must be a finite number >= 0, "
-                             f"got {self.transport_days!r}")
+        if not 0 <= self.transport_days <= HORIZON_DAYS:
+            raise ValueError(f"transport_days must be a finite number >= 0 and "
+                             f"<= {HORIZON_DAYS}, got {self.transport_days!r}")
         for job in self.jobs:
             if job.machine_type not in self.type_specs:
                 raise ValueError(f"job {job.id}: unknown machine type {job.machine_type!r}")
@@ -339,7 +340,7 @@ def priorities_to_permutation(priorities, jobs) -> list:
                   key=lambda i: (-priorities[i], jobs[i].due_day, i))
 
 
-class HfsEnv(Env):
+class HfsEnv(RowEnv):
     """Episodic wrapper: step i observes job i as (machine type code, due day,
     basement day, panel day) and assigns it one of ``PRIORITY_LEVELS``
     priorities. The terminal step decodes the resulting permutation and pays
@@ -347,8 +348,7 @@ class HfsEnv(Env):
     seed.
 
     The environment memoizes the makespan of each permutation it decodes, so
-    the episodes of one run decode each permutation once. Only the float is
-    kept, so ``last_schedule`` decodes again on request.
+    the episodes of one run decode each permutation once.
     """
 
     objective_scale = -1000.0
@@ -360,15 +360,13 @@ class HfsEnv(Env):
         self._makespans = {}
         self.type_names = tuple(sorted(instance.type_specs))
         code = {name: float(i) for i, name in enumerate(self.type_names)}
-        # Job i's observation is row i, as Python floats.
-        self._rows = tuple((code[job.machine_type], float(job.due_day),
-                            float(job.basement_day), float(job.panel_day))
-                           for job in instance.jobs)
         self._key_dtype = np.uint16 if len(instance.jobs) <= 1 << 16 else np.uint32
-        dd = [job.due_day for job in instance.jobs]
-        db = [job.basement_day for job in instance.jobs]
-        de = [job.panel_day for job in instance.jobs]
-        self.spec = EnvSpec(
+        # Job i's observation is row i, as Python floats.
+        rows = tuple((code[job.machine_type], float(job.due_day),
+                      float(job.basement_day), float(job.panel_day))
+                     for job in instance.jobs)
+        _, dd, db, de = zip(*rows)
+        super().__init__(rows, EnvSpec(
             features=(
                 FeatureSpec("machine_type", 0, len(self.type_names) - 1,
                             categories=self.type_names),
@@ -379,37 +377,13 @@ class HfsEnv(Env):
             action_count=PRIORITY_LEVELS,
             episode_len=len(instance.jobs),
             stochastic=False,
-        )
-        self._i = 0
-        self._priorities = []
-        self._last_perm = None
+        ))
 
-    def reset(self, seed=None) -> tuple:
-        self._i = 0
-        self._priorities = []
-        return self._rows[0]
-
-    def step(self, action: int):
-        if self._i == len(self._rows):
-            raise ValueError("the episode is over; call reset() to start the next one")
-        a = int(action)
-        if a != action or not 0 <= a < self.spec.action_count:
-            raise ValueError(f"priority {action} outside 0..{self.spec.action_count - 1}")
-        self._priorities.append(a)
-        self._i += 1
-        if self._i < len(self._rows):
-            return self._rows[self._i], 0.0, False
-        perm = priorities_to_permutation(self._priorities, self.instance.jobs)
-        self._last_perm = perm
+    def objective(self, priorities) -> float:
+        """The makespan of the permutation that ``priorities`` give."""
+        perm = priorities_to_permutation(priorities, self.instance.jobs)
         key = np.array(perm, dtype=self._key_dtype).tobytes()
         value = self._makespans.get(key)
         if value is None:
             value = self._makespans[key] = makespan(decode_list_schedule(self.instance, perm))
-        return (0.0,) * len(self.spec.features), -value / 1000.0, True
-
-    @property
-    def last_schedule(self):
-        """The schedule of the last finished episode (None before one)."""
-        if self._last_perm is None:
-            return None
-        return decode_list_schedule(self.instance, self._last_perm)
+        return value

@@ -42,7 +42,7 @@ from itertools import chain
 
 import numpy as np
 
-from .envs import Env, EnvSpec, FeatureSpec
+from .envs import HORIZON_DAYS, EnvSpec, FeatureSpec, RowEnv
 
 MAKE = 0
 BUY = 1
@@ -50,6 +50,10 @@ BUY = 1
 # Truck cycles one simulation may need; the default parameters need at most
 # about 12,500 at n=100, so only a tiny travel time comes near it.
 _MAX_TRUCK_CYCLES = 10**7
+
+# Revenue per order, in either sign, that a setting may give: a campaign's
+# revenues, their sums and their squares then stay finite.
+_MAX_REVENUE_TERM = 10**9
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,9 @@ class Order:
     def __post_init__(self):
         if min(self.qty_a, self.qty_b, self.qty_c) < 0:
             raise ValueError(f"order {self.id}: quantities must be >= 0")
-        if not 0 <= self.deadline_day < math.inf:
-            raise ValueError(f"order {self.id}: deadline_day must be a finite number >= 0")
+        if not 0 <= self.deadline_day <= HORIZON_DAYS:
+            raise ValueError(f"order {self.id}: deadline_day must be a finite number "
+                             f">= 0 and <= {HORIZON_DAYS}, got {self.deadline_day!r}")
 
 
 @dataclass(frozen=True)
@@ -100,14 +105,16 @@ class MakeOrBuyParams:
                 raise ValueError(f"{name} must be a 'lo, hi' pair of numbers, "
                                  f"got {pair!r}")
             lo, hi = pair
-            if not 0 <= lo <= hi < math.inf:
-                raise ValueError(f"{name} range must satisfy 0 <= lo <= hi < inf")
+            if not 0 <= lo <= hi <= HORIZON_DAYS:
+                raise ValueError(f"{name} range must satisfy 0 <= lo <= hi <= {HORIZON_DAYS}, "
+                                 f"got {pair!r}")
         if self.travel[0] <= 0:
             raise ValueError("travel time must be strictly positive")
         for name in ("on_time_revenue", "late_revenue", "outsource_cost"):
             value = getattr(self, name)
-            if not (_is_number(value) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if not (_is_number(value) and abs(value) <= _MAX_REVENUE_TERM):
+                raise ValueError(f"{name} must be a finite number in "
+                                 f"[-{_MAX_REVENUE_TERM}, {_MAX_REVENUE_TERM}], got {value!r}")
         if not isinstance(self.outsourced_count_on_time, bool):
             raise ValueError("outsourced_count_on_time must be true or false, "
                              f"got {self.outsourced_count_on_time!r}")
@@ -290,7 +297,7 @@ def simulate(orders, decisions, params: MakeOrBuyParams, seed) -> SimOutcome:
                       completion_day=completion)
 
 
-class MakeOrBuyEnv(Env):
+class MakeOrBuyEnv(RowEnv):
     """Episodic wrapper: step i observes order i as (qty_a, qty_b, qty_c,
     days_to_deadline) and decides MAKE (0) or BUY (1). The terminal step runs
     the simulation and pays revenue / 100; ``reset(seed)`` derives the
@@ -303,14 +310,12 @@ class MakeOrBuyEnv(Env):
             raise ValueError("cannot build an environment without orders")
         self.orders = tuple(orders)
         self.params = params if params is not None else MakeOrBuyParams()
+        self._sim_seed = 0
         # Order i's observation is row i, as Python floats.
-        self._rows = tuple((float(o.qty_a), float(o.qty_b), float(o.qty_c),
-                            float(o.deadline_day)) for o in self.orders)
-        qa = [o.qty_a for o in self.orders]
-        qb = [o.qty_b for o in self.orders]
-        qc = [o.qty_c for o in self.orders]
-        dd = [o.deadline_day for o in self.orders]
-        self.spec = EnvSpec(
+        rows = tuple((float(o.qty_a), float(o.qty_b), float(o.qty_c),
+                      float(o.deadline_day)) for o in self.orders)
+        qa, qb, qc, dd = zip(*rows)
+        super().__init__(rows, EnvSpec(
             features=(
                 FeatureSpec("qty_a", 0, max(qa)),
                 FeatureSpec("qty_b", 0, max(qb)),
@@ -321,29 +326,12 @@ class MakeOrBuyEnv(Env):
             episode_len=len(self.orders),
             stochastic=True,
             action_labels=("MAKE", "BUY"),
-        )
-        self._i = 0
-        self._decisions = []
-        self._sim_seed = 0
-        self.last_outcome = None
+        ))
 
     def reset(self, seed=None) -> tuple:
-        self._i = 0
-        self._decisions = []
         self._sim_seed = int(np.random.default_rng(seed).integers(2**63 - 1))
-        return self._rows[0]
+        return super().reset(seed)
 
-    def step(self, action: int):
-        if self._i == len(self._rows):
-            raise ValueError("the episode is over; call reset() to start the next one")
-        a = int(action)
-        if a != action or a not in (MAKE, BUY):
-            raise ValueError(f"action must be 0 (MAKE) or 1 (BUY), got {action}")
-        self._decisions.append(a)
-        self._i += 1
-        if self._i < len(self._rows):
-            return self._rows[self._i], 0.0, False
-        self.last_outcome = simulate(self.orders, self._decisions,
-                                     self.params, self._sim_seed)
-        return ((0.0,) * len(self.spec.features),
-                self.last_outcome.revenue / 100.0, True)
+    def objective(self, decisions) -> float:
+        """The revenue of one simulation of ``decisions``."""
+        return simulate(self.orders, decisions, self.params, self._sim_seed).revenue

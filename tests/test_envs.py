@@ -14,6 +14,7 @@ from evoscm import (
     Split,
     HfsEnv,
     MakeOrBuyEnv,
+    RowEnv,
     ToyThresholdEnv,
     evaluate_fitness,
     gen_hfs,
@@ -237,6 +238,25 @@ class TestEvaluateFitness:
         f2 = evaluate_fitness(leaf_tree(), ConstRewardEnv(1.5), 3,
                               np.random.default_rng(8), lc)
         assert f1 == f2
+
+
+class TestRowEnv:
+    def test_rows_in_order_and_terminal_objective_over_scale(self):
+        class ActionSum(RowEnv):
+            objective_scale = -4.0
+
+            def objective(self, actions):
+                return float(sum(actions))
+
+        spec = EnvSpec(features=(FeatureSpec("x"),), action_count=3, episode_len=3,
+                       stochastic=False)
+        env = ActionSum(((0.0,), (1.0,), (2.0,)), spec)
+        assert env.reset() == (0.0,)
+        assert env.step(2) == ((1.0,), 0.0, False)
+        assert env.step(0) == ((2.0,), 0.0, False)
+        assert env.step(2) == ((0.0,), -1.0, True)
+        assert env.actions == [2, 0, 2]
+        assert env.reset() == (0.0,) and env.actions == []
 
 
 class TestToyThresholdEnv:

@@ -378,7 +378,8 @@ class TestHfsEnv:
         lc = LearningConfig(alpha=0.0, epsilon=0.0)
         tree = DecisionTree(Leaf([1.0, 0.0] + [0.0] * 8))
         ret = run_episode(env, tree, lc, np.random.default_rng(0))
-        assert ret * env.objective_scale == makespan(env.last_schedule)
+        perm = priorities_to_permutation(env.actions, inst.jobs)
+        assert ret * env.objective_scale == makespan(decode_list_schedule(inst, perm))
 
     def test_shared_makespans_decode_a_permutation_once(self, monkeypatch):
         inst = gen_hfs("d3", 10, seed=2)
@@ -397,9 +398,9 @@ class TestHfsEnv:
         assert returns[0] == returns[1]
         perm = priorities_to_permutation([0] * 10, inst.jobs)
         assert decoded == [perm] and len(env._makespans) == 1
-        schedule = env.last_schedule  # the second episode hit the memo
-        assert schedule == decode_list_schedule(inst, perm)
-        assert returns[1] * env.objective_scale == makespan(schedule)
+        # The second episode hit the memo with the same priorities.
+        assert env.actions == [0] * 10
+        assert returns[1] * env.objective_scale == makespan(decode_list_schedule(inst, perm))
 
     def test_shared_makespans_keep_each_permutation_apart(self):
         inst = gen_hfs("d1", 12, seed=0)
@@ -413,8 +414,8 @@ class TestHfsEnv:
             rewards.append(reward)
         assert rewards[0] != rewards[1] and len(env._makespans) == 2
 
-    def test_last_schedule_is_none_before_an_episode(self):
-        assert HfsEnv(gen_hfs("d1", 4, seed=0)).last_schedule is None
+    def test_no_actions_before_an_episode(self):
+        assert HfsEnv(gen_hfs("d1", 4, seed=0)).actions == []
 
     def test_observation_features(self):
         inst = gen_hfs("d1", 5, seed=3)
@@ -439,9 +440,9 @@ class TestHfsEnv:
     def test_step_rejects_a_non_priority(self, action):
         env = HfsEnv(gen_hfs("d1", 3, seed=0))
         env.reset()
-        with pytest.raises(ValueError, match=f"priority {action} outside 0..9"):
+        with pytest.raises(ValueError, match=rf"action {action} outside 0\.\.9"):
             env.step(action)
-        assert env._priorities == []
+        assert env.actions == []
 
     def test_step_after_the_terminal_one_names_reset(self):
         inst = gen_hfs("d1", 2, seed=0)
@@ -451,11 +452,11 @@ class TestHfsEnv:
         env.step(4)
         with pytest.raises(ValueError, match=r"episode is over; call reset\(\)"):
             env.step(5)
-        assert env._priorities == [3, 4]
+        assert env.actions == [3, 4]
         fresh = HfsEnv(inst)
         assert [env.reset(), env.step(4), env.step(3)] == \
             [fresh.reset(), fresh.step(4), fresh.step(3)]
-        assert env.last_schedule == fresh.last_schedule
+        assert env.actions == fresh.actions == [4, 3]
 
 
 class TestMachineTypeTable:

@@ -284,7 +284,9 @@ class TestMakeOrBuyEnv:
         tree = DecisionTree(Leaf([1.0, 0.0]))
         lc = LearningConfig(alpha=0.0, epsilon=0.0)
         ret = run_episode(env, tree, lc, np.random.default_rng(0), seed=3)
-        assert ret * env.objective_scale == env.last_outcome.revenue
+        sim_seed = int(np.random.default_rng(3).integers(2**63 - 1))
+        outcome = simulate(env.orders, env.actions, env.params, sim_seed)
+        assert ret * env.objective_scale == outcome.revenue
 
     def test_observation_is_order_features(self):
         orders = gen_makeorbuy(5, seed=4)
@@ -304,9 +306,9 @@ class TestMakeOrBuyEnv:
     def test_step_rejects_a_non_decision(self, action):
         env = MakeOrBuyEnv(gen_makeorbuy(3, seed=0))
         env.reset(0)
-        with pytest.raises(ValueError, match=r"action must be 0 \(MAKE\) or 1 \(BUY\)"):
+        with pytest.raises(ValueError, match=rf"action {action} outside 0\.\.1"):
             env.step(action)
-        assert env._decisions == []
+        assert env.actions == []
 
     def test_step_after_the_terminal_one_names_reset(self):
         orders = gen_makeorbuy(2, seed=0)
@@ -316,11 +318,11 @@ class TestMakeOrBuyEnv:
         env.step(BUY)
         with pytest.raises(ValueError, match=r"episode is over; call reset\(\)"):
             env.step(MAKE)
-        assert env._decisions == [MAKE, BUY]
+        assert env.actions == [MAKE, BUY]
         fresh = MakeOrBuyEnv(orders)
         assert [env.reset(7), env.step(BUY), env.step(MAKE)] == \
             [fresh.reset(7), fresh.step(BUY), fresh.step(MAKE)]
-        assert env.last_outcome == fresh.last_outcome
+        assert env.actions == fresh.actions == [BUY, MAKE]
 
     def test_episodes_resample_sim_seed(self):
         env = MakeOrBuyEnv(gen_makeorbuy(50, seed=5))
