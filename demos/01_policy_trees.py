@@ -57,7 +57,7 @@ tree = decode(genotype, grammar, spec.feature_index)
 tree.init_leaves(spec.action_count, rng)
 print(f"decoded {len(genotype)} codons into a tree of {len(tree.leaves())} leaves "
       "(initial leaf Q-values pick the actions):")
-print(to_text(tree, spec.feature_names, spec.action_labels))
+print(to_text(tree, spec))
 
 # ----------------------------------------------------------------------
 # 3. Leaves learn online. epsilon_greedy picks the action, q_update moves
@@ -82,10 +82,11 @@ wide = DecisionTree(Split(Condition(0, ">", 2.0), Leaf(np.array([0.0, 1.0])),
 for obs in ([3.0, 0.0], [1.0, 2.0], [0.0, 4.0]):
     wide.traverse(obs)  # the due_slack > 5 branch is never reached
 pruned = prune_unreached(wide)
-print("\nbefore pruning:", to_oneline(wide, spec.feature_names, spec.action_labels))
-print("after pruning: ", to_oneline(pruned, spec.feature_names, spec.action_labels))
+print("\nbefore pruning:", to_oneline(wide, spec))
+print("after pruning: ", to_oneline(pruned, spec))
 
 # ----------------------------------------------------------------------
-# 5. Trees export to Graphviz for reports.
+# 5. Trees export to Graphviz for reports. Every text form takes the spec,
+#    which names the features, categories and actions.
 print("\nDOT export of the pruned tree:")
-print(to_dot(pruned, spec.feature_names, spec.action_labels))
+print(to_dot(pruned, spec))

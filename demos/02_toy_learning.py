@@ -35,13 +35,13 @@ always_one = parse_text(
     "    action 1  [visits=0]\n"
     "else:\n"
     "    action 0  [visits=0]\n",
-    feature_names=spec.feature_names)
+    spec)
 oracle = parse_text(
     "if x > 0.5:\n"
     "    action 1  [visits=0]\n"
     "else:\n"
     "    action 0  [visits=0]\n",
-    feature_names=spec.feature_names)
+    spec)
 for name, tree in (("always action 1", always_one), ("hand-written oracle", oracle)):
     score = evaluate_fitness(tree, env, episodes=30, rng=np.random.default_rng(1))
     print(f"{name:20s} mean return {score:5.2f}")
@@ -69,5 +69,4 @@ print([round(record.trace[m], 2) for m in marks])
 # ----------------------------------------------------------------------
 # 4. The evolved tree, pruned of never-visited branches.
 print("\npruned best tree:")
-print(to_text(record.artifacts["pruned_tree"], spec.feature_names,
-              spec.action_labels))
+print(to_text(record.artifacts["pruned_tree"], spec))

@@ -342,16 +342,13 @@ def write_artifacts(cfg: ExperimentConfig, records: list, spec: EnvSpec = None):
         if pruned is not None:
             if spec is None:
                 raise ValueError("write_artifacts needs the EnvSpec to label a policy tree")
-            names = spec.feature_names
-            labels = spec.action_labels
-            cats = spec.category_labels
             note = (f"# best run seed={best.seed} "
                     f"final_objective={_fmt(best.final_objective)}\n")
             with open(out / "best_tree.txt", "w", encoding="utf-8") as fh:
                 fh.write(note)
-                fh.write(to_text(pruned, names, labels, cats))
+                fh.write(to_text(pruned, spec))
             with open(out / "best_tree.dot", "w", encoding="utf-8") as fh:
-                fh.write(to_dot(pruned, names, labels, cats))
+                fh.write(to_dot(pruned, spec))
 
 
 def compare_dirs(in_dirs, out_path=None) -> list:

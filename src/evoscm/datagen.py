@@ -32,6 +32,10 @@ HFS_VARIANTS = ("d1", "d2", "d3", "d4")
 _ORDER_COLUMNS = ("id", "qty_a", "qty_b", "qty_c", "deadline_day")
 _JOB_COLUMNS = ("id", "machine_type", "due_day", "basement_day", "panel_day")
 
+# The most orders or jobs a generator draws: far past the paper's instances,
+# and few enough that the dataset fits in memory as objects.
+MAX_N = 10**5
+
 # d4 splits the year into five equal 73-day groups.
 D4_GROUP_WINDOWS = ((1, 73), (74, 146), (147, 219), (220, 292), (293, 365))
 
@@ -42,8 +46,8 @@ class DataError(ValueError):
 
 def gen_makeorbuy(n: int, seed) -> list:
     """n orders: quantities ~ U{0..20} per component, deadline ~ U{800..1500}."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be in [1, {MAX_N}], got {n}")
     rng = np.random.default_rng(seed)
     qty = rng.integers(0, 21, size=(n, 3))
     deadline = rng.integers(800, 1501, size=n)
@@ -93,8 +97,8 @@ def gen_hfs(variant: str, n: int, seed, type_specs: dict = None,
     """Generate a flow-shop instance for variants d1..d4."""
     if variant not in HFS_VARIANTS:
         raise ValueError(f"variant must be one of {HFS_VARIANTS}, got {variant!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be in [1, {MAX_N}], got {n}")
     rng = np.random.default_rng(seed)
     if type_specs is None:
         type_specs = default_machine_types()

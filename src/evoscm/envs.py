@@ -29,16 +29,14 @@ HORIZON_DAYS = 10**6
 class FeatureSpec:
     """One observation feature.
 
-    Numeric features declare a [low, high] range and optionally an explicit
-    threshold list for condition grammars; categorical features declare their
-    labels and are observed as the label's index.
+    Numeric features declare a [low, high] range; categorical features
+    declare their labels and are observed as the label's index.
     """
 
     name: str
     low: float = 0.0
     high: float = 1.0
     categories: tuple = None
-    thresholds: tuple = None
 
     @property
     def kind(self) -> str:
@@ -48,12 +46,10 @@ class FeatureSpec:
         """Candidate split thresholds for policy grammars.
 
         Modest integer ranges enumerate every integer; anything wider or
-        fractional gets 21 evenly spaced values. Explicit thresholds win.
+        fractional gets 21 evenly spaced values.
         """
         if self.categories is not None:
             raise ValueError(f"feature {self.name!r} is categorical")
-        if self.thresholds is not None:
-            return [float(t) for t in self.thresholds]
         lo, hi = float(self.low), float(self.high)
         if lo == hi:
             return [lo]
@@ -87,11 +83,6 @@ class EnvSpec:
     @property
     def feature_index(self) -> dict:
         return {f.name: i for i, f in enumerate(self.features)}
-
-    @property
-    def category_labels(self) -> list:
-        """Per-feature category tuples (None for numeric features)."""
-        return [f.categories for f in self.features]
 
 
 class Env:
@@ -224,8 +215,7 @@ class ToyThresholdEnv(Env):
 
     def __init__(self):
         self.spec = EnvSpec(
-            features=(FeatureSpec("x", 0.0, 1.0,
-                                  thresholds=tuple(round(v, 6) for v in np.linspace(0, 1, 21))),),
+            features=(FeatureSpec("x", 0.0, 1.0),),
             action_count=2,
             episode_len=50,
             stochastic=True,

@@ -40,9 +40,16 @@ _MAX_DECODE_STALL = 10_000
 
 # Valid values of the policy-search and baseline hyperparameters, by name. A
 # size below 1 leaves a generation, colony, tournament, evaluation or tree
-# empty, and an empty generation or evaluation never ends a run.
+# empty, and an empty generation or evaluation never ends a run. Above
+# _MAX_SIZE, a population, colony or tournament drawn before the budget
+# stops the run may not fit in memory. g_max is a codon value, bounded by
+# int64 instead; the genotype table that eldt draws before its first
+# evaluation (population_size * genotype_length codons) by _MAX_CODONS.
 _SIZES = ("population_size", "colony_size", "tournament_size", "episodes_per_eval",
           "max_depth", "genotype_length", "g_max")
+_MAX_SIZE = 10**5
+_MAX_CODON = 2**63 - 1
+_MAX_CODONS = 10**7
 _PROBABILITIES = ("crossover_prob", "mutation_prob", "flip_prob", "swap_prob", "rho",
                   "alpha", "gamma", "epsilon")
 _REALS = ("tau_min", "tau_max", "penalty_fitness", "q_init_low", "q_init_high")
@@ -50,15 +57,17 @@ _REALS = ("tau_min", "tau_max", "penalty_fitness", "q_init_low", "q_init_high")
 
 def check_values(values: dict):
     """Raise ValueError unless every named hyperparameter in ``values`` has a
-    value a run can use: sizes are integers >= 1, probabilities are reals in
-    [0, 1], and other reals are finite; a bool is none of these. None keeps a
-    default that the runner resolves itself."""
+    value a run can use: sizes are integers in [1, _MAX_SIZE] (g_max in [1,
+    _MAX_CODON]), probabilities are reals in [0, 1], and other reals are
+    finite; a bool is none of these. None keeps a default that the runner
+    resolves itself."""
     for name, v in values.items():
         if v is None:
             continue
         real = isinstance(v, numbers.Real) and not isinstance(v, bool)
-        if name in _SIZES and not (real and isinstance(v, numbers.Integral) and v >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        high = _MAX_CODON if name == "g_max" else _MAX_SIZE
+        if name in _SIZES and not (real and isinstance(v, numbers.Integral) and 1 <= v <= high):
+            raise ValueError(f"{name} must be an integer in [1, {high}], got {v!r}")
         if name in _PROBABILITIES and not (real and 0.0 <= v <= 1.0):
             raise ValueError(f"{name} must be a number in [0, 1], got {v!r}")
         if name in _REALS and not (real and math.isfinite(v)):
@@ -69,7 +78,8 @@ def check_params(runner, params: dict):
     """Raise ValueError unless ``params`` are keyword hyperparameters that
     ``runner`` takes, with values ``check_values`` accepts,
     0 < tau_min <= tau_max, q_init_low <= q_init_high and, since one-point
-    crossover needs an interior cut, genotype_length >= 2."""
+    crossover needs an interior cut, genotype_length >= 2, and
+    population_size * genotype_length <= _MAX_CODONS."""
     defaults = {name: p.default
                 for name, p in inspect.signature(runner).parameters.items()
                 if p.kind is p.KEYWORD_ONLY}
@@ -87,9 +97,14 @@ def check_params(runner, params: dict):
         low, high = values["q_init_low"], values["q_init_high"]
         if low > high:
             raise ValueError(f"need q_init_low <= q_init_high, got {low!r}, {high!r}")
-    if values.get("genotype_length", 2) < 2:
-        raise ValueError("genotype_length must be >= 2 (one-point crossover needs "
-                         "an interior cut)")
+    if "genotype_length" in values:
+        size, length = values["population_size"], values["genotype_length"]
+        if length < 2:
+            raise ValueError("genotype_length must be >= 2 (one-point crossover needs "
+                             "an interior cut)")
+        if size * length > _MAX_CODONS:
+            raise ValueError("population_size * genotype_length must be at most "
+                             f"{_MAX_CODONS} codons, got {size} * {length}")
 
 
 def checked(runner):
@@ -228,8 +243,7 @@ class PolicySearch:
         obs_log, act_log, rets = greedy_rollout(
             best, self.env, e, np.random.SeedSequence((self.seed, _FINAL_TAG)))
         pruned = prune_unreached(best)
-        solution = to_oneline(pruned, spec.feature_names, spec.action_labels,
-                              spec.category_labels)
+        solution = to_oneline(pruned, spec)
         return RunRecord(
             algo=algo, seed=self.seed, trace=[v * scale for v in self.trace.values],
             final_objective=self.trace.best * scale, solution=solution,

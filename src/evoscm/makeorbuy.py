@@ -47,9 +47,11 @@ from .envs import HORIZON_DAYS, EnvSpec, FeatureSpec, RowEnv
 MAKE = 0
 BUY = 1
 
-# Truck cycles one simulation may need; the default parameters need at most
-# about 12,500 at n=100, so only a tiny travel time comes near it.
-_MAX_TRUCK_CYCLES = 10**7
+# Truck cycles one simulation may need per unit it ships; the default
+# parameters need at most about 4, so only a travel time far below the
+# production times comes near it, and a simulation's work stays in
+# proportion to its units.
+_MAX_TRUCK_CYCLES_PER_UNIT = 100
 
 # Revenue per order, in either sign, that a setting may give: a campaign's
 # revenues, their sums and their squares then stay finite.
@@ -192,10 +194,11 @@ def simulate(orders, decisions, params: MakeOrBuyParams, seed) -> SimOutcome:
     # after the last unit is done loads every unit left.
     last_done = max(done_a[-2:-1] + done_b[-2:-1] + done_c[-2:-1], default=0.0)
     cycles = last_done / (4 * params.travel[0]) + 2
-    if cycles > _MAX_TRUCK_CYCLES:
+    if cycles > _MAX_TRUCK_CYCLES_PER_UNIT * units_left + 2:
         raise ValueError(f"travel lo {params.travel[0]!r} is too small: the truck would "
-                         f"need up to {cycles:.3g} cycles to ship production that ends "
-                         f"on day {last_done:.6g} (at most {_MAX_TRUCK_CYCLES:.0e})")
+                         f"need up to {cycles:.3g} cycles to ship {units_left} units done "
+                         f"by day {last_done:.6g} (at most {_MAX_TRUCK_CYCLES_PER_UNIT} "
+                         "per unit)")
 
     draw = _uniform_stream(rng)
     arrive_t = ([], [], [])  # per plant: unload times at D ...

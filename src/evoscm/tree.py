@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 NUMERIC_GT = ">"
 CATEGORY_EQ = "=="
 
@@ -44,16 +42,18 @@ class Condition:
             raise ValueError("feature index must be >= 0")
 
     def test(self, obs) -> bool:
-        """``obs`` holds Python floats (``DecisionTree.traverse`` converts an ndarray)."""
         if self.op == NUMERIC_GT:
             return obs[self.feature] > self.value
         return obs[self.feature] == self.value
 
-    def describe(self, feature_names=None, categories=None) -> str:
-        name = f"x{self.feature}" if feature_names is None else feature_names[self.feature]
-        if self.op == CATEGORY_EQ and categories is not None and categories[self.feature]:
-            return f"{name} == {categories[self.feature][int(self.value)]}"
-        return f"{name} {self.op} {fmt_num(self.value)}"
+    def describe(self, spec=None) -> str:
+        """``x0 > 4``, or with an ``EnvSpec`` its feature and category labels."""
+        if spec is None:
+            return f"x{self.feature} {self.op} {fmt_num(self.value)}"
+        feature = spec.features[self.feature]
+        if self.op == CATEGORY_EQ and feature.categories:
+            return f"{feature.name} == {feature.categories[int(self.value)]}"
+        return f"{feature.name} {self.op} {fmt_num(self.value)}"
 
 
 class Leaf:
@@ -103,10 +103,8 @@ class DecisionTree:
         self.root = root
 
     def traverse(self, obs) -> Leaf:
-        """Route obs (a sequence of floats; an ndarray is converted to one)
-        to its leaf and increment that leaf's visit counter."""
-        if isinstance(obs, np.ndarray):
-            obs = obs.tolist()
+        """Route obs (a sequence of floats) to its leaf and increment that
+        leaf's visit counter."""
         node = self.root
         while isinstance(node, Split):
             node = node.yes if node.condition.test(obs) else node.no
@@ -231,11 +229,18 @@ def structurally_equal(a: DecisionTree, b: DecisionTree) -> bool:
     return eq(a.root, b.root)
 
 
-def to_text(tree: DecisionTree, feature_names=None, action_labels=None,
-            categories=None) -> str:
+def _action(leaf: Leaf, spec) -> str:
+    """The leaf's greedy action as its spec label, or as an integer."""
+    if spec is None or spec.action_labels is None:
+        return str(leaf.action)
+    return spec.action_labels[leaf.action]
+
+
+def to_text(tree: DecisionTree, spec=None) -> str:
     """Readable nested if/else form; parse_text() reverses it.
 
-    Leaves are annotated with their greedy action and visit count.
+    Leaves are annotated with their greedy action and visit count. An
+    ``EnvSpec`` labels features, categories and actions (see ``describe``).
     """
 
     lines = []
@@ -243,10 +248,9 @@ def to_text(tree: DecisionTree, feature_names=None, action_labels=None,
     def emit(node, indent):
         pad = "    " * indent
         if isinstance(node, Leaf):
-            label = str(node.action) if action_labels is None else action_labels[node.action]
-            lines.append(f"{pad}action {label}  [visits={node.visits}]")
+            lines.append(f"{pad}action {_action(node, spec)}  [visits={node.visits}]")
             return
-        lines.append(f"{pad}if {node.condition.describe(feature_names, categories)}:")
+        lines.append(f"{pad}if {node.condition.describe(spec)}:")
         emit(node.yes, indent + 1)
         lines.append(f"{pad}else:")
         emit(node.no, indent + 1)
@@ -255,22 +259,19 @@ def to_text(tree: DecisionTree, feature_names=None, action_labels=None,
     return "\n".join(lines) + "\n"
 
 
-def to_oneline(tree: DecisionTree, feature_names=None, action_labels=None,
-               categories=None) -> str:
+def to_oneline(tree: DecisionTree, spec=None) -> str:
     """Single-line form of the policy, for CSV cells and logs."""
 
     def emit(node):
         if isinstance(node, Leaf):
-            label = str(node.action) if action_labels is None else action_labels[node.action]
-            return f"action {label}"
-        cond = node.condition.describe(feature_names, categories)
+            return f"action {_action(node, spec)}"
+        cond = node.condition.describe(spec)
         return f"if {cond} then ({emit(node.yes)}) else ({emit(node.no)})"
 
     return emit(tree.root)
 
 
-def to_dot(tree: DecisionTree, feature_names=None, action_labels=None,
-           categories=None) -> str:
+def to_dot(tree: DecisionTree, spec=None) -> str:
     """Graphviz DOT export with deterministic pre-order node ids."""
 
     lines = ["digraph policy {", '    node [fontname="Helvetica"];']
@@ -280,16 +281,13 @@ def to_dot(tree: DecisionTree, feature_names=None, action_labels=None,
         nid = f"n{counter[0]}"
         counter[0] += 1
         if isinstance(node, Leaf):
-            label = str(node.action) if action_labels is None else action_labels[node.action]
             qtxt = ""
             if node.q is not None:
                 qtxt = "\\nq=[" + ", ".join(f"{v:.3f}" for v in node.q) + "]"
-            lines.append(
-                f'    {nid} [shape=ellipse, label="action {label}\\nvisits={node.visits}{qtxt}"];'
-            )
+            lines.append(f'    {nid} [shape=ellipse, label="action {_action(node, spec)}'
+                         f'\\nvisits={node.visits}{qtxt}"];')
             return nid
-        cond = node.condition.describe(feature_names, categories)
-        lines.append(f'    {nid} [shape=box, label="{cond}"];')
+        lines.append(f'    {nid} [shape=box, label="{node.condition.describe(spec)}"];')
         yid = emit(node.yes)
         nid2 = emit(node.no)
         lines.append(f'    {nid} -> {yid} [label="yes"];')
@@ -301,83 +299,72 @@ def to_dot(tree: DecisionTree, feature_names=None, action_labels=None,
     return "\n".join(lines) + "\n"
 
 
-def parse_text(text: str, feature_names=None, action_labels=None) -> DecisionTree:
-    """Parse the to_text() format back into a tree.
+def parse_text(text: str, spec=None) -> DecisionTree:
+    """Read the to_text() form back; blank lines and ``#`` lines are skipped.
 
-    Parsed leaves get one-hot Q-values reproducing the annotated action, and
-    the annotated visit count, so the result is structurally equal to the
-    exported tree.
+    Names and labels map back through ``spec``; without one, features read
+    ``x0``, ``x1``... and actions are integers. Each leaf gets its annotated
+    visit count and one-hot Q-values on its action, one per action of
+    ``spec`` (without one, up to the largest named), so the result is
+    structurally equal to the exported tree. A line that does not fit
+    raises ValueError naming it.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(number, line.rstrip()) for number, line in enumerate(text.splitlines(), 1)
+             if line.strip() and not line.lstrip().startswith("#")]
     if not lines:
         raise ValueError("empty tree text")
-    name_to_idx = None
-    if feature_names is not None:
-        name_to_idx = {n: i for i, n in enumerate(feature_names)}
-    label_to_action = None
-    if action_labels is not None:
-        label_to_action = {l: i for i, l in enumerate(action_labels)}
+    actions = spec and tuple(spec.action_labels or map(str, range(spec.action_count)))
+    leaves = []  # (leaf, action), in text order
+    pos = 0
 
-    pos = [0]
-    actions_seen = []
+    def fail(at, why):
+        raise ValueError(f"tree text line {lines[at][0]}: {why}: {lines[at][1].strip()!r}")
 
-    def indent_of(line):
-        return (len(line) - len(line.lstrip())) // 4
+    def index(at, what, label, labels, prefix=""):  # without a spec, labels is None
+        if labels is None and label.startswith(prefix) and label[len(prefix):].isdigit():
+            return int(label[len(prefix):])
+        if labels is None or label not in labels:
+            fail(at, f"unknown {what} {label!r}")
+        return labels.index(label)
 
-    def parse_node(indent):
-        line = lines[pos[0]]
-        if indent_of(line) != indent:
-            raise ValueError(f"bad indentation at line {pos[0] + 1}: {line!r}")
-        body = line.strip()
-        pos[0] += 1
+    def node(indent, parent):
+        nonlocal pos
+        if pos == len(lines):
+            fail(parent, "the text ends inside this split")
+        at, pos = pos, pos + 1
+        line = lines[at][1]
+        body = line.lstrip()
+        if len(line) - len(body) != 4 * indent:
+            fail(at, f"expected an indent of {4 * indent} spaces")
         if body.startswith("action "):
-            rest = body[len("action "):]
-            if "[visits=" not in rest:
-                raise ValueError(f"leaf line missing visits annotation: {body!r}")
-            label, _, ann = rest.partition("[visits=")
-            label = label.strip()
-            visits = int(ann.rstrip("]").strip())
-            if label_to_action is not None:
-                action = label_to_action[label]
-            else:
-                action = int(label)
-            actions_seen.append(action)
-            leaf = Leaf(visits=visits)
-            leaf.q = action  # patched to one-hot after n_actions is known
+            label, _, visits = body[len("action "):].rpartition("[visits=")
+            if not (visits.endswith("]") and visits[:-1].isdigit()):
+                fail(at, "expected 'action <label>  [visits=<count>]'")
+            leaf = Leaf(visits=int(visits[:-1]))
+            leaves.append((leaf, index(at, "action", label.strip(), actions)))
             return leaf
-        if not body.startswith("if ") or not body.endswith(":"):
-            raise ValueError(f"expected 'if <cond>:' or 'action', got {body!r}")
-        cond = _parse_condition(body[3:-1].strip(), name_to_idx)
-        yes = parse_node(indent + 1)
-        el = lines[pos[0]].strip()
-        if el != "else:":
-            raise ValueError(f"expected 'else:', got {el!r}")
-        pos[0] += 1
-        no = parse_node(indent + 1)
-        return Split(cond, yes, no)
+        if not (body.startswith("if ") and body.endswith(":")):
+            fail(at, "expected 'if <condition>:' or 'action <label>  [visits=<count>]'")
+        op = CATEGORY_EQ if f" {CATEGORY_EQ} " in body else NUMERIC_GT
+        name, _, value = body[len("if "):-1].partition(f" {op} ")
+        feature = index(at, "feature", name, spec and spec.feature_names, "x")
+        categories = spec and spec.features[feature].categories
+        if op == CATEGORY_EQ and categories:
+            value = index(at, f"{name} category", value, categories)
+        try:
+            cond = Condition(feature, op, float(value))
+        except ValueError:
+            fail(at, "expected 'if <feature> > <number>:' or 'if <feature> == <category>:'")
+        yes = node(indent + 1, at)
+        if [ln for _, ln in lines[pos:pos + 1]] != ["    " * indent + "else:"]:
+            fail(at, "this split has no 'else:' after its yes branch")
+        pos += 1
+        return Split(cond, yes, node(indent + 1, at))
 
-    root = parse_node(0)
-    if pos[0] != len(lines):
-        raise ValueError("trailing content after tree")
-    n_actions = len(action_labels) if action_labels is not None else max(actions_seen) + 1
-    tree = DecisionTree(root)
-    for leaf in tree.leaves():
-        leaf.q = [float(a == leaf.q) for a in range(n_actions)]
-    return tree
-
-
-def _parse_condition(text: str, name_to_idx=None) -> Condition:
-    for op in (CATEGORY_EQ, NUMERIC_GT):
-        if f" {op} " in text:
-            lhs, _, rhs = text.partition(f" {op} ")
-            lhs = lhs.strip()
-            if name_to_idx is not None:
-                if lhs not in name_to_idx:
-                    raise ValueError(f"unknown feature name {lhs!r}")
-                feature = name_to_idx[lhs]
-            else:
-                if not (lhs.startswith("x") and lhs[1:].isdigit()):
-                    raise ValueError(f"unknown feature name {lhs!r}")
-                feature = int(lhs[1:])
-            return Condition(feature, op, float(rhs.strip()))
-    raise ValueError(f"cannot parse condition {text!r}")
+    root = node(0, 0)
+    if pos != len(lines):
+        fail(pos, "trailing content after the tree")
+    n_actions = spec.action_count if spec is not None else max(a for _, a in leaves) + 1
+    for leaf, action in leaves:
+        leaf.q = [float(a == action) for a in range(n_actions)]
+    return DecisionTree(root)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import evoscm
-from evoscm import load_hfs, load_makeorbuy, gen_makeorbuy
+from evoscm import cli, load_hfs, load_makeorbuy, gen_makeorbuy
 from evoscm.cli import main
 from evoscm.flowshop import LT7_FAMILY
 
@@ -182,6 +182,46 @@ class TestRunCommand:
                      "--out", str(out), "--workers", workers])
             snaps[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert snaps["1"] == snaps["4"]
+
+
+class TestBestTreeReadsBack:
+    """``parse_text`` reads back the ``best_tree.txt`` of a session, with the
+    campaign's EnvSpec: category splits, action labels and the header."""
+
+    # (problem, algo, orders or jobs, words the best tree holds)
+    CASES = [("hfs", "gp", 12, "if machine_type == "), ("hfs", "eldt", 12, "if machine_type == "),
+             ("makeorbuy", "eldt", 100, "action BUY")]
+
+    @pytest.mark.parametrize("problem, algo, n, words", CASES,
+                             ids=[f"{p}-{a}" for p, a, _, _ in CASES])
+    def test_parse_text_inverts_to_text(self, tmp_path, monkeypatch, problem, algo, n, words):
+        dataset = str(tmp_path / "data.csv")
+        run_cli(["datagen", "--problem", problem, "--n", str(n), "--seed", "0", "--out", dataset]
+                + (["--variant", "d1"] if problem == "hfs" else []))
+        runs, run_experiment = [], cli.run_experiment
+
+        def recording(cfg):
+            runs.append(run_experiment(cfg))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_experiment", recording)
+        out = tmp_path / "out"
+        assert run_cli(["run", "--problem", problem, "--algo", algo, "--dataset", dataset,
+                        "--budget", "100", "--runs", "2", "--seed", "1",
+                        "--out", str(out)]) == 0
+        header, _, body = (out / "best_tree.txt").read_text().partition("\n")
+        assert words in body
+        seed = int(header.split()[3].removeprefix("seed="))
+        best = next(rec for rec in runs[0] if rec.seed == seed)
+        if problem == "hfs":
+            spec = evoscm.HfsEnv(load_hfs(dataset)).spec
+        else:
+            spec = evoscm.MakeOrBuyEnv(load_makeorbuy(dataset)).spec
+
+        parsed = evoscm.parse_text(header + "\n" + body, spec)
+        assert evoscm.structurally_equal(parsed, best.artifacts["pruned_tree"])
+        assert all(len(leaf.q) == spec.action_count for leaf in parsed.leaves())
+        assert evoscm.to_text(parsed, spec) == body
 
 
 def run_cli_bounded(argv, timeout=60):

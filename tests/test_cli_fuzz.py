@@ -6,7 +6,8 @@ dataset, after mutating up to two dataset cells, one ``--params`` key and one
 no exception escape, and print an ``error:`` line when it returns 1. A case
 is bounded by ``signal.alarm``, and size hyperparameters only take small
 values, so no case runs long or allocates much memory. The fixed cases are
-huge but finite inputs that once ended in a traceback or an absurd answer.
+huge but finite inputs, and a truck travel time far below the production
+times, that once ended in a traceback, an absurd answer or a long run.
 """
 
 import inspect
@@ -162,3 +163,50 @@ def test_huge_finite_input_is_refused(tmp_path, capsys, alarm, problem, algo, co
     code, err = run_case(argv, capsys)
     assert code == 1 and words in err, err
     assert not (tmp_path / "out").exists()
+
+
+# (--params lines for eldt on the flow shop, error words); each once ended in
+# a MemoryError or a numpy error that did not name the key.
+HUGE_SIZES = [
+    ("genotype_length = 1000000000000", "genotype_length must be an integer in [1, "),
+    ("population_size = 4\ntournament_size = 1000000000000",
+     "tournament_size must be an integer in [1, "),
+    ("population_size = 100000000000", "population_size must be an integer in [1, "),
+    (f"g_max = {10**29}", "g_max must be an integer in [1, "),
+    ("population_size = 100000\ngenotype_length = 100000",
+     "population_size * genotype_length must be at most"),
+]
+
+
+@pytest.mark.parametrize("params, words", HUGE_SIZES, ids=[
+    "genotype_length", "tournament_size", "population_size", "g_max", "codons"])
+def test_huge_size_is_refused(tmp_path, capsys, alarm, params, words):
+    (tmp_path / "params.kv").write_text(params + "\n")
+    code, err = run_case(["run", "--problem", "hfs", "--algo", "eldt",
+                          "--dataset", write_table(tmp_path / "data.csv", dataset_rows("hfs")),
+                          "--budget", "20", "--runs", "1", "--params", str(tmp_path / "params.kv"),
+                          "--out", str(tmp_path / "out")], capsys)
+    assert code == 1 and words in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_huge_datagen_size_is_refused(tmp_path, capsys, alarm):
+    out = tmp_path / "orders.csv"
+    code, err = run_case(["datagen", "--problem", "makeorbuy", "--n", "1000000000",
+                          "--seed", "0", "--out", str(out)], capsys)
+    assert code == 1 and "n must be in [1, " in err, err
+    assert not out.exists()
+
+
+def test_slow_travel_is_refused_before_it_runs_long(tmp_path, capsys, alarm):
+    # the truck would need ~2.7 million cycles to ship this dataset's 146
+    # units; one simulation of that took over a second
+    rows = [["id", "qty_a", "qty_b", "qty_c", "deadline_day"]] + [
+        [o.id, o.qty_a, o.qty_b, o.qty_c, o.deadline_day] for o in gen_makeorbuy(5, seed=0)]
+    (tmp_path / "sim.kv").write_text("travel = 1e-5, 1e-5\n")
+    code, err = run_case(["run", "--problem", "makeorbuy", "--algo", "eldt",
+                          "--dataset", write_table(tmp_path / "data.csv", rows),
+                          "--budget", "30", "--runs", "2",
+                          "--sim-params", str(tmp_path / "sim.kv"),
+                          "--out", str(tmp_path / "out")], capsys)
+    assert code == 1 and err.startswith("error: travel lo 1e-05 is too small"), err

@@ -73,10 +73,6 @@ class TestEnvSpec:
 
 
 class TestFeatureThresholds:
-    def test_explicit_thresholds_win(self):
-        f = FeatureSpec("x", low=0, high=100, thresholds=(1.0, 2.0))
-        assert f.grammar_thresholds() == [1.0, 2.0]
-
     def test_small_integer_span_enumerates(self):
         f = FeatureSpec("x", low=0, high=4)
         assert f.grammar_thresholds() == [0.0, 1.0, 2.0, 3.0, 4.0]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,11 +21,18 @@ from evoscm import (
     to_oneline,
     to_text,
 )
+from evoscm.envs import EnvSpec, FeatureSpec
 from oracles import bellman_oracle
 
 
 def make_leaf(q):
     return Leaf(q)
+
+
+def ab_spec(action_labels=None, categories=None):
+    """One feature named A (categorical when ``categories`` is given)."""
+    return EnvSpec(features=(FeatureSpec("A", 0.0, 10.0, categories),), action_count=2,
+                   episode_len=1, stochastic=False, action_labels=action_labels)
 
 
 def ab_tree():
@@ -239,10 +247,10 @@ class TestExport:
     def test_text_round_trip_is_structurally_equal(self):
         tree, _, _ = ab_tree()
         tree.traverse([9.0])
-        text = to_text(tree, ["A"])
-        again = parse_text(text, ["A"])
+        text = to_text(tree, ab_spec())
+        again = parse_text(text, ab_spec())
         assert structurally_equal(again, tree)
-        assert to_text(again, ["A"]) == text
+        assert to_text(again, ab_spec()) == text
 
     def test_export_is_deterministic(self):
         tree, _, _ = ab_tree()
@@ -257,22 +265,73 @@ class TestExport:
 
     def test_dot_is_wellformed(self):
         tree, _, _ = ab_tree()
-        dot = to_dot(tree, ["A"], ["MAKE", "BUY"])
+        dot = to_dot(tree, ab_spec(("MAKE", "BUY")))
         assert dot.startswith("digraph") and dot.rstrip().endswith("}")
         assert dot.count("->") == 2
         assert "A > 4" in dot
 
     def test_oneline_nests_and_uses_labels(self):
         tree, _, _ = ab_tree()
-        line = to_oneline(tree, ["A"], ["MAKE", "BUY"])
+        line = to_oneline(tree, ab_spec(("MAKE", "BUY")))
         assert line == "if A > 4 then (action BUY) else (action MAKE)"
 
     def test_categorical_labels_in_text(self):
         cond = Condition(0, "==", 1.0)
         tree = DecisionTree(Split(cond, make_leaf([0.0, 1.0]),
                                   make_leaf([1.0, 0.0])))
-        text = to_text(tree, ["mt"], None, [("LT7", "LT8p")])
-        assert "mt == LT8p" in text
+        text = to_text(tree, ab_spec(categories=("LT7", "LT8p")))
+        assert "A == LT8p" in text
+
+
+class TestParseText:
+    TEXT = ("# best run seed=0\n"
+            "if A == LT8p:\n"
+            "    action BUY  [visits=3]\n"
+            "else:\n"
+            "    action MAKE  [visits=0]\n")
+
+    def spec(self):
+        return ab_spec(("MAKE", "BUY"), ("LT7", "LT8p"))
+
+    def test_labels_map_back_through_the_spec(self):
+        tree = parse_text(self.TEXT, self.spec())
+        assert tree.root.condition == Condition(0, "==", 1.0)
+        assert [(leaf.q, leaf.visits) for leaf in tree.leaves()] == [([0.0, 1.0], 3),
+                                                                      ([1.0, 0.0], 0)]
+        assert to_text(tree, self.spec()) == self.TEXT.partition("\n")[2]
+
+    def test_leaves_get_the_spec_action_count(self):
+        spec = EnvSpec(features=(FeatureSpec("A"),), action_count=10, episode_len=1,
+                       stochastic=False)
+        tree = parse_text("if A > 0.5:\n    action 3  [visits=1]\nelse:\n"
+                          "    action 0  [visits=1]\n", spec)
+        assert [len(leaf.q) for leaf in tree.leaves()] == [10, 10]
+        assert [leaf.action for leaf in tree.leaves()] == [3, 0]
+
+    def test_without_a_spec_actions_go_up_to_the_largest_named(self):
+        tree = parse_text("if x1 > 2.5:\n    action 3  [visits=1]\nelse:\n"
+                          "    action 0  [visits=1]\n")
+        assert tree.root.condition == Condition(1, ">", 2.5)
+        assert [len(leaf.q) for leaf in tree.leaves()] == [4, 4]
+
+    @pytest.mark.parametrize("text, words", [
+        ("if A == LT8p:\n", "line 1: the text ends inside this split"),
+        ("if A == LT8p:\n    action BUY  [visits=3]\n",
+         "line 1: this split has no 'else:'"),
+        ("if A == LT8p:\n    action BUY  [visits=3]\naction MAKE  [visits=0]\n",
+         "line 1: this split has no 'else:'"),
+        ("#\nif A == LT9:\n    action BUY  [visits=3]\nelse:\n    action MAKE  [visits=0]\n",
+         "line 2: unknown A category 'LT9'"),
+        ("if A == LT8p:\n    action SELL  [visits=3]\nelse:\n    action MAKE  [visits=0]\n",
+         "line 2: unknown action 'SELL'"),
+        ("if B > 1:\n    action BUY  [visits=3]\nelse:\n    action MAKE  [visits=0]\n",
+         "line 1: unknown feature 'B'"),
+        ("action BUY\n", "line 1: expected 'action <label>  [visits=<count>]'"),
+        ("action BUY  [visits=1]\naction BUY  [visits=1]\n", "line 2: trailing content"),
+    ])
+    def test_a_bad_line_is_named(self, text, words):
+        with pytest.raises(ValueError, match=re.escape(words)):
+            parse_text(text, self.spec())
 
 
 class TestLearningConfig:
