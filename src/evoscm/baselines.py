@@ -331,11 +331,12 @@ def gp_evolve(env, budget: int, seed, *, population_size: int = 30,
                           episodes_per_eval)
     spec = search.spec
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x69EE)))
+    evaluated = min(population_size, -(-search.trace.limit // search.episodes_per_eval))
 
     generation = 0
     population = search.evaluate_in_order(
         [Individual(None, tree=t)
-         for t in _ramped_population(spec, rng, population_size, max_depth)],
+         for t in _ramped_population(spec, rng, evaluated, max_depth)],
         generation)
     while search.trace.remaining > 0:
         generation += 1

@@ -19,12 +19,14 @@ from pathlib import Path
 
 from . import datagen
 from .baselines import SearchSpace, aco_run, ga_run, gp_evolve, greedy_edd, random_search
-from .envs import HORIZON_DAYS, EnvSpec
+from .envs import EnvSpec
 from .evolve import check_params, run_eldt
-from .flowshop import CATEGORIES, HfsEnv, decode_list_schedule, makespan
+# decode_list_schedule and simulate are unused here, but tracers look these
+# names up on this module.
+from .flowshop import HfsEnv, decode_list_schedule, shop_settings  # noqa: F401
 from .grammar import Grammar, default_policy_grammar, load_bnf
 from .kvconfig import format_kv
-from .makeorbuy import MakeOrBuyEnv, MakeOrBuyParams, simulate
+from .makeorbuy import MakeOrBuyEnv, MakeOrBuyParams, simulate  # noqa: F401
 from .records import RunRecord
 from .tree import to_dot, to_text
 
@@ -34,8 +36,6 @@ POLICY_ALGOS = ("eldt", "gp")
 # The runner that ``params`` configure, by algorithm; greedy takes none.
 RUNNERS = {"eldt": run_eldt, "rs": random_search, "ga": ga_run, "aco": aco_run,
            "gp": gp_evolve}
-HFS_SIM_PARAMS = ("assembly_areas", "capacity_e", "capacity_m", "capacity_r",
-                  "machine_types", "transport_days")
 
 
 def aggregate(values) -> tuple:
@@ -158,7 +158,7 @@ class ExperimentConfig:
         if self.problem == "makeorbuy":
             MakeOrBuyParams.from_settings(self.sim_params)
         else:
-            _check_hfs_sim_params(self.sim_params)
+            shop_settings(self.sim_params)
         if self.algo in RUNNERS:
             check_params(RUNNERS[self.algo], self.params)
 
@@ -166,43 +166,6 @@ class ExperimentConfig:
     def maximize(self) -> bool:
         """Make-or-buy maximizes revenue; the flow shop minimizes makespan."""
         return self.problem == "makeorbuy"
-
-
-def _check_hfs_sim_params(sim_params: dict):
-    """Flow-shop ``--sim-params``: an unknown key or a malformed value is a
-    ValueError. Files they name are read later, by ``load_inputs``."""
-    unknown = sorted(set(sim_params) - set(HFS_SIM_PARAMS))
-    if unknown:
-        raise ValueError(f"unknown hfs sim params: {unknown} "
-                         f"(known: {list(HFS_SIM_PARAMS)})")
-    for key, value in sim_params.items():
-        if key == "machine_types":
-            ok, want = isinstance(value, str), "a file path"
-        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
-            ok, want = False, "a number"
-        elif key == "transport_days":
-            ok = 0 <= value <= HORIZON_DAYS
-            want = f"a finite number >= 0 and <= {HORIZON_DAYS}"
-        else:
-            ok, want = isinstance(value, numbers.Integral) and value >= 1, "an integer >= 1"
-        if not ok:
-            raise ValueError(f"hfs sim param {key} must be {want}, got {value!r}")
-
-
-def _hfs_load_kwargs(sim_params: dict) -> dict:
-    """``datagen.load_hfs`` keyword arguments from checked flow-shop
-    ``--sim-params``, with the ``machine_types`` file read."""
-    kwargs = {}
-    if any(key.startswith("capacity_") for key in sim_params):
-        kwargs["capacities"] = {c: sim_params.get(f"capacity_{c.lower()}", 5)
-                                for c in CATEGORIES}
-    if "assembly_areas" in sim_params:
-        kwargs["assembly_areas"] = sim_params["assembly_areas"]
-    if "transport_days" in sim_params:
-        kwargs["transport_days"] = float(sim_params["transport_days"])
-    if "machine_types" in sim_params:
-        kwargs["type_specs"] = datagen.load_machine_types(sim_params["machine_types"])
-    return kwargs
 
 
 @dataclass(frozen=True)
@@ -222,11 +185,13 @@ def load_inputs(cfg: ExperimentConfig) -> CampaignInputs:
     if cfg.problem == "makeorbuy":
         data = tuple(datagen.load_makeorbuy(cfg.dataset))
         params = MakeOrBuyParams.from_settings(cfg.sim_params)
-        spec = MakeOrBuyEnv(data, params).spec
     else:
-        data = datagen.load_hfs(cfg.dataset, **_hfs_load_kwargs(cfg.sim_params))
+        shop = shop_settings(cfg.sim_params)
+        if "machine_types" in shop:
+            shop["type_specs"] = datagen.load_machine_types(shop.pop("machine_types"))
+        data = datagen.load_hfs(cfg.dataset, **shop)
         params = None
-        spec = HfsEnv(data).spec
+    spec = _env(cfg, data, params).spec
     grammar = None
     if cfg.algo == "eldt":
         grammar = (load_bnf(cfg.grammar_path) if cfg.grammar_path
@@ -234,39 +199,28 @@ def load_inputs(cfg: ExperimentConfig) -> CampaignInputs:
     return CampaignInputs(data, params, spec, grammar)
 
 
-def _search_space(cfg: ExperimentConfig, inputs: CampaignInputs) -> SearchSpace:
-    """The whole-solution search space for one rs, ga or aco run."""
-    data, params = inputs.data, inputs.params
-    if cfg.problem == "makeorbuy":
-        def score(x, rng):
-            return simulate(data, x, params, int(rng.integers(2**63 - 1))).revenue
-
-        return SearchSpace(kind="binary", size=len(data), score=score,
-                           maximize=cfg.maximize, budget=cfg.budget)
-
-    def score(p, rng):
-        return makespan(decode_list_schedule(data, p))
-
-    return SearchSpace(kind="permutation", size=len(data.jobs), score=score,
-                       maximize=cfg.maximize, budget=cfg.budget)
+def _env(cfg: ExperimentConfig, data, params):
+    """A fresh environment of the campaign's problem."""
+    return MakeOrBuyEnv(data, params) if cfg.problem == "makeorbuy" else HfsEnv(data)
 
 
 def _run_one(cfg: ExperimentConfig, seed: int, inputs: CampaignInputs) -> RunRecord:
-    """Run ``seed`` of the campaign on the shared inputs. A policy run builds
-    its own environment, so that each run has its own flow-shop makespan
-    memo."""
+    """Run ``seed`` of the campaign on the shared inputs. A run builds its own
+    environment, so that each run has its own flow-shop makespan memo; rs, ga
+    and aco search whole solutions that the environment scores."""
     algo = cfg.algo
-    if algo in POLICY_ALGOS:
-        env = (MakeOrBuyEnv(inputs.data, inputs.params) if cfg.problem == "makeorbuy"
-               else HfsEnv(inputs.data))
-        # called by name, so that a wrapped ``bench.run_eldt`` or
-        # ``bench.gp_evolve`` is the one run
-        if algo == "eldt":
-            return run_eldt(env, cfg.budget, seed, inputs.grammar, **cfg.params)
-        return gp_evolve(env, cfg.budget, seed, **cfg.params)
     if algo == "greedy":
         return greedy_edd(inputs.data)
-    return RUNNERS[algo](_search_space(cfg, inputs), seed, **cfg.params)
+    env = _env(cfg, inputs.data, inputs.params)
+    # called by name, so that a wrapped ``bench.run_eldt`` or
+    # ``bench.gp_evolve`` is the one run
+    if algo == "eldt":
+        return run_eldt(env, cfg.budget, seed, inputs.grammar, **cfg.params)
+    if algo == "gp":
+        return gp_evolve(env, cfg.budget, seed, **cfg.params)
+    space = SearchSpace(kind=env.solution_kind, size=env.spec.episode_len, score=env.score,
+                        maximize=cfg.maximize, budget=cfg.budget)
+    return RUNNERS[algo](space, seed, **cfg.params)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:

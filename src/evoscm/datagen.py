@@ -91,10 +91,9 @@ def _read_machine_types(fh, name) -> dict:
     return specs
 
 
-def gen_hfs(variant: str, n: int, seed, type_specs: dict = None,
-            capacities: dict = None, assembly_areas: int = 20,
-            transport_days: float = 2.0) -> HfsInstance:
-    """Generate a flow-shop instance for variants d1..d4."""
+def gen_hfs(variant: str, n: int, seed, type_specs: dict = None, **shop) -> HfsInstance:
+    """Generate a flow-shop instance for variants d1..d4; ``shop`` keywords
+    (``capacities``, ``assembly_areas``, ``transport_days``) go to ``HfsInstance``."""
     if variant not in HFS_VARIANTS:
         raise ValueError(f"variant must be one of {HFS_VARIANTS}, got {variant!r}")
     if not 1 <= n <= MAX_N:
@@ -102,8 +101,6 @@ def gen_hfs(variant: str, n: int, seed, type_specs: dict = None,
     rng = np.random.default_rng(seed)
     if type_specs is None:
         type_specs = default_machine_types()
-    if capacities is None:
-        capacities = {"M": 5, "E": 5, "R": 5}
     families = {"d1": ALL_MACHINE_TYPES, "d2": LT7_FAMILY,
                 "d3": LT8_FAMILY, "d4": ALL_MACHINE_TYPES}
     family = families[variant]
@@ -120,10 +117,7 @@ def gen_hfs(variant: str, n: int, seed, type_specs: dict = None,
         due = basement + int(rng.integers(20, 51))
         jobs.append(Job(id=i, machine_type=mt, due_day=float(due),
                         basement_day=float(basement), panel_day=float(panel)))
-    return HfsInstance(jobs=tuple(jobs), type_specs=type_specs,
-                       capacities=dict(capacities),
-                       assembly_areas=assembly_areas,
-                       transport_days=transport_days)
+    return HfsInstance(jobs=tuple(jobs), type_specs=type_specs, **shop)
 
 
 def save_makeorbuy(orders, path):
@@ -151,15 +145,13 @@ def save_hfs(instance: HfsInstance, path):
                 _num(job.panel_day)] for job in instance.jobs))
 
 
-def load_hfs(path, type_specs: dict = None, capacities: dict = None,
-             assembly_areas: int = 20, transport_days: float = 2.0) -> HfsInstance:
+def load_hfs(path, type_specs: dict = None, **shop) -> HfsInstance:
+    """Read ``save_hfs``'s job list; ``shop`` keywords as in ``gen_hfs``."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: no such file")
     if type_specs is None:
         type_specs = default_machine_types()
-    if capacities is None:
-        capacities = {"M": 5, "E": 5, "R": 5}
 
     def job(row):
         mt = row["machine_type"].strip()
@@ -173,10 +165,7 @@ def load_hfs(path, type_specs: dict = None, capacities: dict = None,
         jobs = _read_rows(fh, path, _JOB_COLUMNS, job)
     if not jobs:
         raise DataError(f"{path}: no jobs")
-    return HfsInstance(jobs=tuple(jobs), type_specs=type_specs,
-                       capacities=dict(capacities),
-                       assembly_areas=assembly_areas,
-                       transport_days=transport_days)
+    return HfsInstance(jobs=tuple(jobs), type_specs=type_specs, **shop)
 
 
 def _read_rows(fh, name, columns, make) -> list:

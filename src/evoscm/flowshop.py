@@ -33,14 +33,18 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+from array import array
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .envs import HORIZON_DAYS, EnvSpec, FeatureSpec, RowEnv
 
 CATEGORIES = ("M", "E", "R")
+
+DEFAULT_CAPACITY = 5
+
+HFS_SIM_PARAMS = ("assembly_areas", "capacity_e", "capacity_m", "capacity_r",
+                  "machine_types", "transport_days")
 
 # Priority levels an ``HfsEnv`` step chooses from (its action count).
 PRIORITY_LEVELS = 10
@@ -90,7 +94,7 @@ def validate_type_specs(type_specs: dict):
 class HfsInstance:
     jobs: tuple
     type_specs: dict
-    capacities: dict = field(default_factory=lambda: {"M": 5, "E": 5, "R": 5})
+    capacities: dict = field(default_factory=lambda: dict.fromkeys(CATEGORIES, DEFAULT_CAPACITY))
     assembly_areas: int = 20
     transport_days: float = 2.0
 
@@ -107,6 +111,35 @@ class HfsInstance:
         for job in self.jobs:
             if job.machine_type not in self.type_specs:
                 raise ValueError(f"job {job.id}: unknown machine type {job.machine_type!r}")
+
+
+def shop_settings(sim_params: dict) -> dict:
+    """``HfsInstance`` keywords from flow-shop ``--sim-params``: the
+    ``capacity_*`` keys give ``capacities`` (a category not named keeps
+    ``DEFAULT_CAPACITY``), and ``machine_types`` stays the path of a
+    machine-type table, for the caller to read into ``type_specs``. An
+    unknown key or a malformed value is a ValueError."""
+    unknown = sorted(set(sim_params) - set(HFS_SIM_PARAMS))
+    if unknown:
+        raise ValueError(f"unknown hfs sim params: {unknown} "
+                         f"(known: {list(HFS_SIM_PARAMS)})")
+    for key, value in sim_params.items():
+        if key == "machine_types":
+            ok, want = isinstance(value, str), "a file path"
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            ok, want = False, "a number"
+        elif key == "transport_days":
+            ok = 0 <= value <= HORIZON_DAYS
+            want = f"a finite number >= 0 and <= {HORIZON_DAYS}"
+        else:
+            ok, want = isinstance(value, numbers.Integral) and value >= 1, "an integer >= 1"
+        if not ok:
+            raise ValueError(f"hfs sim param {key} must be {want}, got {value!r}")
+    shop = {key: sim_params[key] for key in ("assembly_areas", "machine_types", "transport_days")
+            if key in sim_params}
+    shop["capacities"] = {c: sim_params.get(f"capacity_{c.lower()}", DEFAULT_CAPACITY)
+                          for c in CATEGORIES}
+    return shop
 
 
 @dataclass
@@ -347,11 +380,13 @@ class HfsEnv(RowEnv):
     -makespan/1000. The episode is deterministic, so ``reset`` ignores its
     seed.
 
+    A whole solution is a job permutation, and ``score`` gives its makespan.
     The environment memoizes the makespan of each permutation it decodes, so
-    the episodes of one run decode each permutation once.
+    the episodes and scores of one run decode each permutation once.
     """
 
     objective_scale = -1000.0
+    solution_kind = "permutation"
 
     def __init__(self, instance: HfsInstance):
         if not instance.jobs:
@@ -360,7 +395,7 @@ class HfsEnv(RowEnv):
         self._makespans = {}
         self.type_names = tuple(sorted(instance.type_specs))
         code = {name: float(i) for i, name in enumerate(self.type_names)}
-        self._key_dtype = np.uint16 if len(instance.jobs) <= 1 << 16 else np.uint32
+        self._key_type = "H" if len(instance.jobs) <= 1 << 16 else "I"
         # Job i's observation is row i, as Python floats.
         rows = tuple((code[job.machine_type], float(job.due_day),
                       float(job.basement_day), float(job.panel_day))
@@ -381,8 +416,15 @@ class HfsEnv(RowEnv):
 
     def objective(self, priorities) -> float:
         """The makespan of the permutation that ``priorities`` give."""
-        perm = priorities_to_permutation(priorities, self.instance.jobs)
-        key = np.array(perm, dtype=self._key_dtype).tobytes()
+        return self.score(priorities_to_permutation(priorities, self.instance.jobs))
+
+    def score(self, perm, rng=None) -> float:
+        """The makespan of the job permutation ``perm``, which the decoder checks;
+        ``rng`` is unused, as the shop is deterministic."""
+        try:
+            key = array(self._key_type, perm).tobytes()
+        except (TypeError, OverflowError):  # not integers that fit a key: no memo
+            return makespan(decode_list_schedule(self.instance, perm))
         value = self._makespans.get(key)
         if value is None:
             value = self._makespans[key] = makespan(decode_list_schedule(self.instance, perm))

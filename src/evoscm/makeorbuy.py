@@ -304,9 +304,11 @@ class MakeOrBuyEnv(RowEnv):
     """Episodic wrapper: step i observes order i as (qty_a, qty_b, qty_c,
     days_to_deadline) and decides MAKE (0) or BUY (1). The terminal step runs
     the simulation and pays revenue / 100; ``reset(seed)`` derives the
-    episode's simulation seed from ``seed``."""
+    episode's simulation seed from ``seed``. A whole solution is one decision
+    per order, and ``score`` simulates it."""
 
     objective_scale = 100.0
+    solution_kind = "binary"
 
     def __init__(self, orders, params: MakeOrBuyParams = None):
         if not orders:
@@ -338,3 +340,9 @@ class MakeOrBuyEnv(RowEnv):
     def objective(self, decisions) -> float:
         """The revenue of one simulation of ``decisions``."""
         return simulate(self.orders, decisions, self.params, self._sim_seed).revenue
+
+    def score(self, decisions, rng) -> float:
+        """The revenue of one simulation of ``decisions``, seeded by one draw
+        from ``rng``."""
+        return simulate(self.orders, decisions, self.params,
+                        int(rng.integers(2**63 - 1))).revenue

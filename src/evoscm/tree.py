@@ -9,6 +9,7 @@ policy stays readable while it learns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 NUMERIC_GT = ">"
@@ -306,8 +307,8 @@ def parse_text(text: str, spec=None) -> DecisionTree:
     ``x0``, ``x1``... and actions are integers. Each leaf gets its annotated
     visit count and one-hot Q-values on its action, one per action of
     ``spec`` (without one, up to the largest named), so the result is
-    structurally equal to the exported tree. A line that does not fit
-    raises ValueError naming it.
+    structurally equal to the exported tree. A line that does not fit, or
+    a threshold that is not finite, raises ValueError naming it.
     """
     lines = [(number, line.rstrip()) for number, line in enumerate(text.splitlines(), 1)
              if line.strip() and not line.lstrip().startswith("#")]
@@ -355,6 +356,8 @@ def parse_text(text: str, spec=None) -> DecisionTree:
             cond = Condition(feature, op, float(value))
         except ValueError:
             fail(at, "expected 'if <feature> > <number>:' or 'if <feature> == <category>:'")
+        if not math.isfinite(cond.value):
+            fail(at, "the threshold must be a finite number")
         yes = node(indent + 1, at)
         if [ln for _, ln in lines[pos:pos + 1]] != ["    " * indent + "else:"]:
             fail(at, "this split has no 'else:' after its yes branch")

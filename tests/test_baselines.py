@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from evoscm import (
     order_crossover,
     random_search,
 )
+from evoscm import baselines
 from evoscm.evolve import PolicySearch
 from evoscm.baselines import (
     binary_probabilities,
@@ -353,6 +355,24 @@ class TestGpEvolve:
         rec = gp_evolve(HfsEnv(instance), 60, seed=0)
         assert rec.final_objective == rec.trace[-1] >= lower_bounds(instance)
         assert all(a >= b for a, b in zip(rec.trace, rec.trace[1:]))
+
+    def test_grows_only_the_initial_trees_the_budget_evaluates(self, monkeypatch):
+        built = []
+
+        class CountedTree(baselines.DecisionTree):
+            def __init__(self, root):
+                built.append(root)
+                super().__init__(root)
+
+        monkeypatch.setattr(baselines, "DecisionTree", CountedTree)
+        records = []
+        for size in (7, 30, 3000, 10**5):
+            built.clear()
+            # 20 episodes at 3 per evaluation evaluate 7 trees
+            records.append(gp_evolve(ToyThresholdEnv(), 20, seed=0, population_size=size))
+            assert len(built) == 7
+        assert all(replace(rec, params={}) == replace(records[0], params={})
+                   for rec in records)
 
     def test_leaves_are_constant_actions(self):
         rec = gp_evolve(ToyThresholdEnv(), 200, seed=6)

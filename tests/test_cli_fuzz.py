@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from evoscm import gen_hfs, gen_makeorbuy
-from evoscm.bench import HFS_SIM_PARAMS, RUNNERS
+from evoscm.bench import RUNNERS
 from evoscm.cli import main
 from evoscm.datagen import default_machine_types
+from evoscm.flowshop import HFS_SIM_PARAMS
 from evoscm.makeorbuy import MakeOrBuyParams
 
 CASES = 300

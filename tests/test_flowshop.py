@@ -414,6 +414,43 @@ class TestHfsEnv:
             rewards.append(reward)
         assert rewards[0] != rewards[1] and len(env._makespans) == 2
 
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_score_is_the_makespan_of_a_permutation(self, as_array):
+        inst = gen_hfs("d1", 12, seed=0)
+        env = HfsEnv(inst)
+        assert env.solution_kind == "permutation"
+        rng = np.random.default_rng(3)
+        for perm in (rng.permutation(12) for _ in range(5)):
+            perm = perm if as_array else perm.tolist()
+            assert env.score(perm) == makespan(decode_list_schedule(inst, perm))
+
+    def test_objective_then_score_decode_a_permutation_once(self, monkeypatch):
+        inst = gen_hfs("d1", 12, seed=0)
+        decoded = []
+
+        def counting_decode(instance, perm):
+            decoded.append(list(perm))
+            return decode_list_schedule(instance, perm)
+
+        monkeypatch.setattr(evoscm.flowshop, "decode_list_schedule", counting_decode)
+        env = HfsEnv(inst)
+        priorities = [9] * 6 + [0] * 6
+        perm = priorities_to_permutation(priorities, inst.jobs)
+        value = env.objective(priorities)
+        assert env.score(np.array(perm), np.random.default_rng(0)) == env.score(perm) == value
+        assert decoded == [perm]
+
+    @pytest.mark.parametrize("entry", [1 << 16, -(1 << 16), 0.5])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_score_refuses_an_entry_that_would_wrap_onto_a_memoized_key(self, entry,
+                                                                         as_array):
+        env = HfsEnv(gen_hfs("d1", 4, seed=0))
+        value = env.score([0, 1, 2, 3])
+        perm = [entry, 1, 2, 3]
+        with pytest.raises(ValueError, match="bijection"):
+            env.score(np.array(perm) if as_array else perm)
+        assert env.score([0.0, 1.0, 2.0, 3.0]) == value and len(env._makespans) == 1
+
     def test_no_actions_before_an_episode(self):
         assert HfsEnv(gen_hfs("d1", 4, seed=0)).actions == []
 

@@ -288,6 +288,16 @@ class TestMakeOrBuyEnv:
         outcome = simulate(env.orders, env.actions, env.params, sim_seed)
         assert ret * env.objective_scale == outcome.revenue
 
+    def test_score_draws_one_simulation_seed_from_rng(self):
+        env = MakeOrBuyEnv(gen_makeorbuy(100, seed=2))
+        assert env.solution_kind == "binary"
+        rng, copy = np.random.default_rng(9), np.random.default_rng(9)
+        x = np.full(100, MAKE)
+        scores = [env.score(x, rng) for _ in range(5)]
+        assert scores == [simulate(env.orders, x, env.params,
+                                   int(copy.integers(2**63 - 1))).revenue for _ in range(5)]
+        assert len(set(scores)) > 1 and rng.random() == copy.random()
+
     def test_observation_is_order_features(self):
         orders = gen_makeorbuy(5, seed=4)
         env = MakeOrBuyEnv(orders)

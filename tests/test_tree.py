@@ -328,10 +328,17 @@ class TestParseText:
          "line 1: unknown feature 'B'"),
         ("action BUY\n", "line 1: expected 'action <label>  [visits=<count>]'"),
         ("action BUY  [visits=1]\naction BUY  [visits=1]\n", "line 2: trailing content"),
+        *((f"#\nif A > {threshold}:\n    action BUY  [visits=3]\nelse:\n"
+           "    action MAKE  [visits=0]\n", "line 2: the threshold must be a finite number")
+          for threshold in ("inf", "-inf", "nan", "1e309")),
     ])
     def test_a_bad_line_is_named(self, text, words):
         with pytest.raises(ValueError, match=re.escape(words)):
             parse_text(text, self.spec())
+
+    def test_a_large_finite_threshold_round_trips(self):
+        text = "if A > 1e+300:\n    action BUY  [visits=3]\nelse:\n    action MAKE  [visits=0]\n"
+        assert to_text(parse_text(text, self.spec()), self.spec()) == text
 
 
 class TestLearningConfig:
