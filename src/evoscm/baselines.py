@@ -10,8 +10,6 @@ constant-action leaves and learning disabled, as the no-learning control.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 # Unused here, but tracers look these names up on this module.
@@ -28,9 +26,9 @@ class SearchSpace:
 
     ``kind`` is "binary" or "permutation"; ``score(candidate, rng)`` returns
     the objective (the rng covers stochastic simulators). The space owns the
-    run's best-so-far trace, which is also its episode budget, and its start
-    time: ``evaluate`` records each result as one episode, and ``record``
-    builds the run's RunRecord. A space serves one run.
+    run's best-so-far trace, which is also its episode budget and clock:
+    ``evaluate`` records each result as one episode, and ``record`` builds
+    the run's RunRecord. A space serves one run.
     """
 
     def __init__(self, kind: str, size: int, score, maximize: bool, budget: int):
@@ -39,7 +37,6 @@ class SearchSpace:
         if size < 1:
             raise ValueError("size must be >= 1")
         self.trace = BestTrace(maximize, limit=budget)
-        self.t0 = time.perf_counter()
         self.kind, self.size, self.score, self.maximize = kind, size, score, maximize
 
     def random_candidate(self, rng) -> np.ndarray:
@@ -55,12 +52,8 @@ class SearchSpace:
 
     def record(self, algo: str, seed, params: dict) -> RunRecord:
         """The run's record, with the budget added to ``params``."""
-        return RunRecord(
-            algo=algo, seed=seed, trace=self.trace.values,
-            final_objective=self.trace.best,
-            solution=format_candidate(self.kind, self.trace.best_payload),
-            episodes=len(self.trace.values), params={"budget": self.trace.limit, **params},
-            wall_time=time.perf_counter() - self.t0)
+        return self.trace.run_record(
+            algo, seed, format_candidate(self.kind, self.trace.best_payload), params)
 
 
 def format_candidate(kind: str, candidate) -> str:
@@ -234,14 +227,11 @@ def aco_run(space: SearchSpace, seed, *, colony_size: int = 20,
 def greedy_edd(instance: HfsInstance) -> RunRecord:
     """Earliest due date first (stable on ties): one deterministic
     evaluation."""
-    t0 = time.perf_counter()
+    trace = BestTrace(maximize=False, limit=1)
     perm = sorted(range(len(instance.jobs)),
                   key=lambda i: (instance.jobs[i].due_day, i))
-    cmax = makespan(decode_list_schedule(instance, perm))
-    return RunRecord(
-        algo="greedy", seed=0, trace=[cmax], final_objective=cmax,
-        solution=format_candidate("permutation", np.array(perm)),
-        episodes=1, params={}, wall_time=time.perf_counter() - t0)
+    trace.record(makespan(decode_list_schedule(instance, perm)))
+    return trace.run_record("greedy", 0, format_candidate("permutation", perm), {})
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,10 @@ from .records import RunRecord
 from .tree import to_dot, to_text
 
 PROBLEMS = ("makeorbuy", "hfs")
-ALGORITHMS = ("eldt", "rs", "ga", "aco", "greedy", "gp")
-POLICY_ALGOS = ("eldt", "gp")
-# The runner that ``params`` configure, by algorithm; greedy takes none.
+# The runner that ``params`` configure, by algorithm: the one algorithm table.
 RUNNERS = {"eldt": run_eldt, "rs": random_search, "ga": ga_run, "aco": aco_run,
-           "gp": gp_evolve}
+           "greedy": greedy_edd, "gp": gp_evolve}
+ALGORITHMS = tuple(RUNNERS)
 
 
 def aggregate(values) -> tuple:
@@ -153,14 +152,11 @@ class ExperimentConfig:
             raise ValueError("greedy EDD is a flow-shop heuristic; use --problem hfs")
         if self.grammar_path is not None and self.algo != "eldt":
             raise ValueError(f"a grammar file applies to eldt only, not {self.algo}")
-        if self.algo == "greedy" and self.params:
-            raise ValueError(f"greedy takes no params, got {sorted(self.params)}")
         if self.problem == "makeorbuy":
             MakeOrBuyParams.from_settings(self.sim_params)
         else:
             shop_settings(self.sim_params)
-        if self.algo in RUNNERS:
-            check_params(RUNNERS[self.algo], self.params)
+        check_params(RUNNERS[self.algo], self.params)
 
     @property
     def maximize(self) -> bool:
@@ -267,8 +263,9 @@ def _header_lines(cfg: ExperimentConfig) -> list:
 
 
 def write_artifacts(cfg: ExperimentConfig, records: list, spec: EnvSpec = None):
-    """Write the campaign's CSV files, and for eldt/gp the best run's pruned
-    tree, labelled by ``spec`` (the campaign's EnvSpec, required then)."""
+    """Write the campaign's CSV files, and the best run's pruned tree when
+    it holds one, labelled by ``spec`` (the campaign's EnvSpec, required
+    then)."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = _header_lines(cfg)
@@ -289,20 +286,18 @@ def write_artifacts(cfg: ExperimentConfig, records: list, spec: EnvSpec = None):
                         _fmt(mean), _fmt(std)]])
     emit_trend_csv(records, out / "trend.csv", header)
 
-    if cfg.algo in POLICY_ALGOS:
-        # the first of tied runs, in either direction
-        best = (max if cfg.maximize else min)(records, key=lambda rec: rec.final_objective)
-        pruned = best.artifacts.get("pruned_tree")
-        if pruned is not None:
-            if spec is None:
-                raise ValueError("write_artifacts needs the EnvSpec to label a policy tree")
-            note = (f"# best run seed={best.seed} "
-                    f"final_objective={_fmt(best.final_objective)}\n")
-            with open(out / "best_tree.txt", "w", encoding="utf-8") as fh:
-                fh.write(note)
-                fh.write(to_text(pruned, spec))
-            with open(out / "best_tree.dot", "w", encoding="utf-8") as fh:
-                fh.write(to_dot(pruned, spec))
+    # the first of tied runs, in either direction
+    best = (max if cfg.maximize else min)(records, key=lambda rec: rec.final_objective)
+    pruned = best.artifacts.get("pruned_tree")
+    if pruned is not None:
+        if spec is None:
+            raise ValueError("write_artifacts needs the EnvSpec to label a policy tree")
+        note = f"# best run seed={best.seed} final_objective={_fmt(best.final_objective)}\n"
+        with open(out / "best_tree.txt", "w", encoding="utf-8") as fh:
+            fh.write(note)
+            fh.write(to_text(pruned, spec))
+        with open(out / "best_tree.dot", "w", encoding="utf-8") as fh:
+            fh.write(to_dot(pruned, spec))
 
 
 def compare_dirs(in_dirs, out_path=None) -> list:

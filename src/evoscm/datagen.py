@@ -27,6 +27,7 @@ import numpy as np
 from .flowshop import (ALL_MACHINE_TYPES, LT7_FAMILY, LT8_FAMILY, HfsInstance,
                        Job, validate_type_specs)
 from .makeorbuy import Order
+from .tree import fmt_num
 
 HFS_VARIANTS = ("d1", "d2", "d3", "d4")
 _ORDER_COLUMNS = ("id", "qty_a", "qty_b", "qty_c", "deadline_day")
@@ -122,7 +123,7 @@ def gen_hfs(variant: str, n: int, seed, type_specs: dict = None, **shop) -> HfsI
 
 def save_makeorbuy(orders, path):
     write_csv(path, (), _ORDER_COLUMNS,
-              ([o.id, o.qty_a, o.qty_b, o.qty_c, _num(o.deadline_day)] for o in orders))
+              ([o.id, o.qty_a, o.qty_b, o.qty_c, fmt_num(o.deadline_day)] for o in orders))
 
 
 def load_makeorbuy(path) -> list:
@@ -141,8 +142,8 @@ def load_makeorbuy(path) -> list:
 def save_hfs(instance: HfsInstance, path):
     """Write the job list; capacities/areas/transport are load parameters."""
     write_csv(path, (), _JOB_COLUMNS,
-              ([job.id, job.machine_type, _num(job.due_day), _num(job.basement_day),
-                _num(job.panel_day)] for job in instance.jobs))
+              ([job.id, job.machine_type, fmt_num(job.due_day), fmt_num(job.basement_day),
+                fmt_num(job.panel_day)] for job in instance.jobs))
 
 
 def load_hfs(path, type_specs: dict = None, **shop) -> HfsInstance:
@@ -206,8 +207,3 @@ def write_csv(path, header_lines, columns, rows):
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(rows)
-
-
-def _num(x: float) -> str:
-    f = float(x)
-    return str(int(f)) if f == int(f) else repr(f)

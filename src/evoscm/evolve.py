@@ -17,7 +17,6 @@ import functools
 import inspect
 import math
 import numbers
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,7 +201,6 @@ class PolicySearch:
     def __init__(self, env, budget: int, seed: int, learning: LearningConfig,
                  episodes_per_eval: int = None):
         self.trace = BestTrace(maximize=True, limit=budget)
-        self.t0 = time.perf_counter()
         self.env = env
         self.spec = env.spec
         self.episodes_per_eval = episodes_per_eval or (3 if self.spec.stochastic else 1)
@@ -237,19 +235,15 @@ class PolicySearch:
         final rollout that recharges visit counters, drives prune_unreached,
         and lands in record.artifacts; those reporting episodes are not part
         of the optimization budget."""
-        spec, e, scale = self.spec, self.episodes_per_eval, self.env.objective_scale
+        e = self.episodes_per_eval
         best = self.trace.best_payload.tree
         best.reset_visits()
         obs_log, act_log, rets = greedy_rollout(
             best, self.env, e, np.random.SeedSequence((self.seed, _FINAL_TAG)))
         pruned = prune_unreached(best)
-        solution = to_oneline(pruned, spec)
-        return RunRecord(
-            algo=algo, seed=self.seed, trace=[v * scale for v in self.trace.values],
-            final_objective=self.trace.best * scale, solution=solution,
-            episodes=len(self.trace.values),
-            params={"budget": self.trace.limit, **params, "episodes_per_eval": e},
-            wall_time=time.perf_counter() - self.t0,
+        return self.trace.run_record(
+            algo, self.seed, to_oneline(pruned, self.spec), {**params, "episodes_per_eval": e},
+            scale=self.env.objective_scale,
             artifacts={"tree": best, "pruned_tree": pruned, "rollout_observations": obs_log,
                        "rollout_actions": act_log, "rollout_returns": rets})
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numbers
+import time
 from dataclasses import dataclass, field
 
 
@@ -35,7 +36,9 @@ class BudgetExhausted(RuntimeError):
 
 
 class BestTrace:
-    """Per-episode best-so-far trace, and the run's episode budget.
+    """Per-episode best-so-far trace, the run's episode budget and its clock,
+    which starts when the trace is made; ``run_record`` turns it into the
+    run's RunRecord.
 
     An evaluation that cost ``count`` episodes finishes before its result is
     known, so it appends count-1 entries at the previous best and one entry
@@ -52,6 +55,7 @@ class BestTrace:
         self.values: list = []
         self.best = None
         self.best_payload = None
+        self.t0 = time.perf_counter()
 
     def improves(self, value: float) -> bool:
         if self.best is None:
@@ -77,3 +81,14 @@ class BestTrace:
             self.best_payload = payload
         self.values.extend([previous] * (count - 1))
         self.values.append(self.best)
+
+    def run_record(self, algo: str, seed, solution: str, params: dict, scale: float = 1.0,
+                   artifacts: dict = None) -> RunRecord:
+        """The run's record: trace and best times ``scale`` (objective
+        units), the budget first in ``params``, and the wall time since the
+        trace was made."""
+        return RunRecord(
+            algo=algo, seed=seed, trace=[v * scale for v in self.values],
+            final_objective=self.best * scale, solution=solution,
+            episodes=len(self.values), params={"budget": self.limit, **params},
+            wall_time=time.perf_counter() - self.t0, artifacts=dict(artifacts or {}))

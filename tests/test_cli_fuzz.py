@@ -89,10 +89,9 @@ def random_case(rng, tmp):
             "--dataset", write_table(tmp / "data.csv", rows),
             "--budget", str(int(rng.integers(1, 31))), "--runs", str(int(rng.integers(1, 3))),
             "--seed", str(int(rng.integers(100))), "--out", str(tmp / "out")]
-    runner = RUNNERS.get(algo)  # greedy takes no params
-    if runner is not None and rng.random() < 0.5:
-        keys = [name for name, p in inspect.signature(runner).parameters.items()
-                if p.kind is p.KEYWORD_ONLY] or ["temperature"]  # rs: any key is unknown
+    if rng.random() < 0.5:
+        keys = [name for name, p in inspect.signature(RUNNERS[algo]).parameters.items()
+                if p.kind is p.KEYWORD_ONLY] or ["temperature"]  # rs, greedy: any key is unknown
         key, value = keys[int(rng.integers(len(keys)))], VALUES[int(rng.integers(len(VALUES)))]
         (tmp / "params.kv").write_text(f"{key} = {value}\n")
         argv += ["--params", str(tmp / "params.kv")]
@@ -126,7 +125,11 @@ def test_random_cases_exit_cleanly(tmp_path, capsys, alarm):
     for i in range(CASES):
         case_dir = tmp_path / f"case{i}"
         case_dir.mkdir()
-        codes.append(run_case(random_case(rng, case_dir), capsys)[0])
+        argv = random_case(rng, case_dir)
+        codes.append(run_case(argv, capsys)[0])
+        params = case_dir / "params.kv"
+        if params.exists() and params.read_text().startswith("temperature "):
+            assert codes[-1] == 1, argv  # a key the runner does not take
     assert 0 in codes and 1 in codes
 
 

@@ -39,3 +39,48 @@ class TestBestTrace:
     def test_numpy_integer_limit_is_accepted(self):
         trace = BestTrace(False, limit=np.int64(2))
         assert trace.limit == 2 and type(trace.limit) is int
+
+
+class TestRunRecord:
+    def trace(self):
+        trace = BestTrace(maximize=True, limit=5)
+        trace.record(1.0, 2)
+        trace.record(3.0, 1)
+        trace.record(2.0, 2)
+        return trace
+
+    def test_scale_applies_to_every_entry_and_the_best(self):
+        rec = self.trace().run_record("x", 4, "sol", {}, scale=-2.0)
+        assert rec.trace == [-2.0, -2.0, -6.0, -6.0, -6.0]
+        assert rec.final_objective == -6.0
+
+    def test_default_scale_keeps_the_trace(self):
+        trace = self.trace()
+        rec = trace.run_record("x", 4, "sol", {})
+        assert rec.trace == trace.values and rec.final_objective == trace.best
+
+    def test_episodes_is_the_trace_length(self):
+        rec = self.trace().run_record("x", 4, "sol", {})
+        assert rec.episodes == len(rec.trace) == 5
+
+    def test_budget_comes_first_then_the_runner_params_in_order(self):
+        rec = self.trace().run_record("x", 4, "sol", {"zeta": 1, "alpha": 2, "mid": 3})
+        assert list(rec.params.items()) == [("budget", 5), ("zeta", 1), ("alpha", 2),
+                                            ("mid", 3)]
+
+    def test_fields_and_wall_time(self):
+        rec = self.trace().run_record("ga", 7, "0 1 2", {})
+        assert (rec.algo, rec.seed, rec.solution) == ("ga", 7, "0 1 2")
+        assert rec.wall_time >= 0.0
+
+    def test_records_never_share_an_artifacts_dict(self):
+        trace = self.trace()
+        given = {"tree": "t"}
+        a = trace.run_record("x", 0, "", {}, artifacts=given)
+        b = trace.run_record("x", 0, "", {}, artifacts=given)
+        c, d = trace.run_record("x", 0, "", {}), trace.run_record("x", 0, "", {})
+        assert a.artifacts == b.artifacts == given
+        assert a.artifacts is not b.artifacts and a.artifacts is not given
+        assert c.artifacts is not d.artifacts
+        a.artifacts["extra"] = 1
+        assert "extra" not in b.artifacts and "extra" not in given
