@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import datagen
@@ -223,14 +223,16 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     """Run the campaign and write artifacts into cfg.out_dir.
 
     The input files are parsed once, before any run starts. Run i uses seed
-    cfg.seed + i; greedy runs once regardless of ``runs``. Runs share only
+    cfg.seed + i; greedy runs once on a budget of 1, whatever ``runs`` and
+    ``budget`` say, and its artifacts say so. Runs share only
     the read-only inputs (each has its own environment or search space, RNG
     streams and budget counter), so the thread pool size changes wall time
     only, never results.
     """
+    if cfg.algo == "greedy":
+        cfg = replace(cfg, budget=1, runs=1)
     inputs = load_inputs(cfg)
-    n_runs = 1 if cfg.algo == "greedy" else cfg.runs
-    seeds = [cfg.seed + i for i in range(n_runs)]
+    seeds = [cfg.seed + i for i in range(cfg.runs)]
     if cfg.workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -142,6 +142,21 @@ class TestRunCommand:
         head = (out / "summary.csv").read_text()
         assert "# sim_param transport_days = 0.0" in head
 
+    def test_greedy_header_says_what_ran(self, hfs_dataset, tmp_path):
+        # greedy makes one evaluation in one run, whatever --budget and --runs say
+        out = tmp_path / "greedy"
+        code = run_cli(["run", "--problem", "hfs", "--algo", "greedy",
+                        "--dataset", hfs_dataset, "--budget", "75", "--runs", "2",
+                        "--out", str(out)])
+        assert code == 0
+        for name in ("history.csv", "finals.csv", "summary.csv", "trend.csv"):
+            first = (out / name).read_text().splitlines()[0]
+            assert first == (f"# problem=hfs algo=greedy dataset={hfs_dataset} "
+                             "budget=1 runs=1 base_seed=0")
+        with open(out / "summary.csv", encoding="utf-8") as fh:
+            row = next(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+        assert (row["runs"], row["budget"]) == ("1", "1")
+
     def test_grammar_file(self, mob_dataset, tmp_path):
         from evoscm import MakeOrBuyEnv, default_policy_grammar, load_makeorbuy
 

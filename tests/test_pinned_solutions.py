@@ -40,13 +40,13 @@ ARTIFACT_SHA256 = {
     "hfs-ga/trend.csv":
         "5707ea3d9a2343e9ca750294e7f83e0b11229ead82751a254895e2a52d033274",
     "hfs-greedy/finals.csv":
-        "b83286c49d75fded1b37f98514bdd1b00a2cb62e318e978b368f3de030161e83",
+        "5f6406251758b356911d5b980064edc2c68a44780521dd834ce09902538634ee",
     "hfs-greedy/history.csv":
-        "16cc48c21d45273721610e6c4fe9ec7919d0a913afc750334944818f78f0a59b",
+        "af2cf7c3f2047461b6b9bb2dc9b81939e7ddcc3d4d94c10c0078706d70d7efd6",
     "hfs-greedy/summary.csv":
-        "dd12081cefaa5764fbe27d942450517253ecc7dfe79ad6a8e11805d3e91ef8ac",
+        "f79c82c2d94c379b7a7b7172f684032124e0d47231585cf1e9de2e4f522d32b4",
     "hfs-greedy/trend.csv":
-        "8ad2dde5bb0b8f5d6d9dc24e13f712fe9a78f2f2869e0dda17ce9e0f071fc0a2",
+        "d3f845ecf7250808d4521fa58c2c2808545351ccdd1c54b8a7be26e5f936816a",
     "hfs-rs/finals.csv":
         "68f06cdb35c4879057e4136012e0022fc38d550bf0ca2a2927fbb1f1d8c8b5d4",
     "hfs-rs/history.csv":
