@@ -17,6 +17,7 @@ from evoscm import (
     check_feasible,
     decode_list_schedule,
     default_machine_types,
+    edd_order,
     ga_run,
     gen_hfs,
     greedy_edd,
@@ -73,7 +74,7 @@ for label, algo in (("random search", random_search), ("GA", ga_run)):
 #    sorting on (priority, due date, index), which is how tree policies
 #    drive this problem.
 priorities = np.array([2.0, 2.0, 5.0, 1.0, 1.0, 3.0])
-perm = priorities_to_permutation(priorities, inst.jobs)
+perm = priorities_to_permutation(priorities, edd_order(inst.jobs))
 print(f"\npriorities {priorities.tolist()} with dues "
       f"{[round(j.due_day) for j in inst.jobs]} -> permutation {perm}")
 print(f"that permutation's makespan: "

@@ -54,6 +54,7 @@ from .flowshop import (
     Schedule,
     check_feasible,
     decode_list_schedule,
+    edd_order,
     lower_bounds,
     makespan,
     priorities_to_permutation,

@@ -16,7 +16,7 @@ import numpy as np
 from .envs import evaluate_fitness, greedy_rollout  # noqa: F401
 from .evolve import (Individual, PolicySearch, checked, crossover_one_point,
                      replace_steady_state, select_parent)
-from .flowshop import HfsInstance, decode_list_schedule, makespan
+from .flowshop import HfsInstance, decode_list_schedule, edd_order, makespan
 from .records import BestTrace, RunRecord
 from .tree import Condition, DecisionTree, LearningConfig, Leaf, Split
 
@@ -224,14 +224,13 @@ def aco_run(space: SearchSpace, seed, *, colony_size: int = 20,
                                       "tau_min": tau_min, "tau_max": tau_max})
 
 
-def greedy_edd(instance: HfsInstance) -> RunRecord:
+def greedy_edd(instance: HfsInstance, seed: int = 0) -> RunRecord:
     """Earliest due date first (stable on ties): one deterministic
-    evaluation."""
+    evaluation, recorded under ``seed``."""
     trace = BestTrace(maximize=False, limit=1)
-    perm = sorted(range(len(instance.jobs)),
-                  key=lambda i: (instance.jobs[i].due_day, i))
+    perm = edd_order(instance.jobs)
     trace.record(makespan(decode_list_schedule(instance, perm)))
-    return trace.run_record("greedy", 0, format_candidate("permutation", perm), {})
+    return trace.run_record("greedy", seed, format_candidate("permutation", perm), {})
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +242,7 @@ def _random_condition(spec, rng) -> Condition:
     f = spec.features[feat]
     if f.kind == "categorical":
         return Condition(feat, "==", float(rng.integers(0, len(f.categories))))
-    thresholds = f.grammar_thresholds()
+    thresholds = f.grammar_thresholds
     return Condition(feat, ">", float(thresholds[int(rng.integers(0, len(thresholds)))]))
 
 

@@ -206,7 +206,7 @@ def _run_one(cfg: ExperimentConfig, seed: int, inputs: CampaignInputs) -> RunRec
     and aco search whole solutions that the environment scores."""
     algo = cfg.algo
     if algo == "greedy":
-        return greedy_edd(inputs.data)
+        return greedy_edd(inputs.data, seed)
     env = _env(cfg, inputs.data, inputs.params)
     # called by name, so that a wrapped ``bench.run_eldt`` or
     # ``bench.gp_evolve`` is the one run

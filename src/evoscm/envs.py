@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,8 +43,10 @@ class FeatureSpec:
     def kind(self) -> str:
         return "categorical" if self.categories is not None else "numeric"
 
-    def grammar_thresholds(self) -> list:
-        """Candidate split thresholds for policy grammars.
+    @cached_property
+    def grammar_thresholds(self) -> tuple:
+        """Candidate split thresholds for policy grammars, computed on first
+        access and kept with this feature.
 
         Modest integer ranges enumerate every integer; anything wider or
         fractional gets 21 evenly spaced values.
@@ -52,10 +55,10 @@ class FeatureSpec:
             raise ValueError(f"feature {self.name!r} is categorical")
         lo, hi = float(self.low), float(self.high)
         if lo == hi:
-            return [lo]
+            return (lo,)
         if lo.is_integer() and hi.is_integer() and 2 <= hi - lo <= 40:
-            return [float(v) for v in range(int(lo), int(hi) + 1)]
-        return [round(v, 6) for v in np.linspace(lo, hi, 21)]
+            return tuple(float(v) for v in range(int(lo), int(hi) + 1))
+        return tuple(round(v, 6) for v in np.linspace(lo, hi, 21))
 
 
 @dataclass(frozen=True)

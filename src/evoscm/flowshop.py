@@ -364,13 +364,18 @@ def lower_bounds(instance: HfsInstance) -> float:
     return best
 
 
-def priorities_to_permutation(priorities, jobs) -> list:
-    """Scheduling order from per-job priorities: descending priority, ties by
-    earlier due date, then by input index."""
-    if len(priorities) != len(jobs):
+def edd_order(jobs) -> list:
+    """Job indices by earlier due date, ties by input index."""
+    return sorted(range(len(jobs)), key=lambda i: (jobs[i].due_day, i))
+
+
+def priorities_to_permutation(priorities, edd) -> list:
+    """Scheduling order from per-job priorities: descending priority, ties in
+    the order ``edd = edd_order(jobs)`` (earlier due date, then input index).
+    The sort is stable under ``reverse``, so equal priorities keep that order."""
+    if len(priorities) != len(edd):
         raise ValueError("need exactly one priority per job")
-    return sorted(range(len(jobs)),
-                  key=lambda i: (-priorities[i], jobs[i].due_day, i))
+    return sorted(edd, key=priorities.__getitem__, reverse=True)
 
 
 class HfsEnv(RowEnv):
@@ -393,6 +398,7 @@ class HfsEnv(RowEnv):
             raise ValueError("cannot build an environment for an empty instance")
         self.instance = instance
         self._makespans = {}
+        self._edd = edd_order(instance.jobs)
         self.type_names = tuple(sorted(instance.type_specs))
         code = {name: float(i) for i, name in enumerate(self.type_names)}
         self._key_type = "H" if len(instance.jobs) <= 1 << 16 else "I"
@@ -416,7 +422,7 @@ class HfsEnv(RowEnv):
 
     def objective(self, priorities) -> float:
         """The makespan of the permutation that ``priorities`` give."""
-        return self.score(priorities_to_permutation(priorities, self.instance.jobs))
+        return self.score(priorities_to_permutation(priorities, self._edd))
 
     def score(self, perm, rng=None) -> float:
         """The makespan of the job permutation ``perm``, which the decoder checks;

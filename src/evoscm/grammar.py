@@ -192,7 +192,7 @@ def default_policy_grammar(spec: EnvSpec) -> Grammar:
         if feat.kind == "numeric":
             val_nt = f"<thr_{safe}>"
             cond_alts.append((safe, NUMERIC_GT, val_nt))
-            value_prods[val_nt] = [(fmt_num(t),) for t in feat.grammar_thresholds()]
+            value_prods[val_nt] = [(fmt_num(t),) for t in feat.grammar_thresholds]
         else:
             val_nt = f"<cat_{safe}>"
             cond_alts.append((safe, CATEGORY_EQ, val_nt))

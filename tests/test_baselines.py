@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from evoscm import (
     BudgetExhausted,
+    FeatureSpec,
     HfsEnv,
     LearningConfig,
     SearchSpace,
@@ -317,6 +319,22 @@ class TestGpEvolve:
         rec = gp_evolve(ToyThresholdEnv(), 300, seed=0)
         assert rec.episodes == 300 and len(rec.trace) == 300
         assert all(a <= b for a, b in zip(rec.trace, rec.trace[1:]))
+
+    def test_thresholds_computed_at_most_once_per_feature(self, monkeypatch):
+        computed = []
+        thresholds = FeatureSpec.__dict__["grammar_thresholds"].func
+
+        def counting(feature):
+            computed.append(feature.name)
+            return thresholds(feature)
+
+        counted = cached_property(counting)
+        counted.__set_name__(FeatureSpec, "grammar_thresholds")
+        monkeypatch.setattr(FeatureSpec, "grammar_thresholds", counted)
+        env = HfsEnv(gen_hfs("d1", 30, seed=0))
+        gp_evolve(env, 60, seed=0)
+        numeric = [f.name for f in env.spec.features if f.kind == "numeric"]
+        assert sorted(computed) == sorted(numeric)
 
     def test_same_seed_identical_best_tree(self):
         a = gp_evolve(ToyThresholdEnv(), 200, seed=4)

@@ -157,6 +157,18 @@ class TestRunCommand:
             row = next(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
         assert (row["runs"], row["budget"]) == ("1", "1")
 
+    def test_greedy_records_the_seed_it_was_given(self, hfs_dataset, tmp_path):
+        out = tmp_path / "greedy"
+        code = run_cli(["run", "--problem", "hfs", "--algo", "greedy",
+                        "--dataset", hfs_dataset, "--seed", "5", "--out", str(out)])
+        assert code == 0
+        for name in ("finals.csv", "history.csv"):
+            with open(out / name, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            assert lines[0].endswith(" base_seed=5")
+            rows = list(csv.DictReader(ln for ln in lines if not ln.startswith("#")))
+            assert rows and [r["seed"] for r in rows] == ["5"] * len(rows)
+
     def test_grammar_file(self, mob_dataset, tmp_path):
         from evoscm import MakeOrBuyEnv, default_policy_grammar, load_makeorbuy
 

@@ -75,13 +75,28 @@ class TestEnvSpec:
 class TestFeatureThresholds:
     def test_small_integer_span_enumerates(self):
         f = FeatureSpec("x", low=0, high=4)
-        assert f.grammar_thresholds() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert f.grammar_thresholds == (0.0, 1.0, 2.0, 3.0, 4.0)
 
     def test_wide_range_uses_21_point_grid(self):
         f = FeatureSpec("x", low=0.0, high=1000.0)
-        ths = f.grammar_thresholds()
+        ths = f.grammar_thresholds
         assert len(ths) == 21
         assert ths[0] == 0.0 and ths[-1] == 1000.0
+
+    def test_thresholds_are_computed_once_as_a_tuple(self):
+        f = FeatureSpec("x", low=0.0, high=1.0)
+        ths = f.grammar_thresholds
+        assert isinstance(ths, tuple) and ths == tuple(i / 20 for i in range(21))
+        assert f.grammar_thresholds is ths
+        assert f == FeatureSpec("x", low=0.0, high=1.0)
+        assert hash(f) == hash(FeatureSpec("x", low=0.0, high=1.0))
+        assert FeatureSpec("y", low=2.5, high=2.5).grammar_thresholds == (2.5,)
+
+    def test_categorical_feature_raises_on_every_access(self):
+        f = FeatureSpec("c", categories=("u", "v"))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="categorical"):
+                f.grammar_thresholds
 
 
 class TestRunEpisode:
@@ -145,7 +160,7 @@ def full_tree(spec, depth=3, level=0):
     if feature.categories is not None:
         cond = Condition(index, CATEGORY_EQ, float(level % len(feature.categories)))
     else:
-        thresholds = feature.grammar_thresholds()
+        thresholds = feature.grammar_thresholds
         cond = Condition(index, NUMERIC_GT, thresholds[len(thresholds) // 2])
     return Split(cond, full_tree(spec, depth, level + 1), full_tree(spec, depth, level + 1))
 

@@ -16,6 +16,7 @@ from evoscm import (
     Schedule,
     check_feasible,
     decode_list_schedule,
+    edd_order,
     gen_hfs,
     load_hfs,
     load_machine_types,
@@ -330,19 +331,19 @@ class TestPriorities:
         return [job(i, dd=d) for i, d in enumerate(dues)]
 
     def test_declared_rule_with_ties(self):
-        perm = priorities_to_permutation([2, 2, 5], self.jobs([7.0, 3.0, 9.0]))
+        perm = priorities_to_permutation([2, 2, 5], edd_order(self.jobs([7.0, 3.0, 9.0])))
         assert list(perm) == [2, 1, 0]
 
     def test_equal_priorities_fall_back_to_edd(self):
-        perm = priorities_to_permutation([1, 1, 1], self.jobs([7.0, 3.0, 9.0]))
+        perm = priorities_to_permutation([1, 1, 1], edd_order(self.jobs([7.0, 3.0, 9.0])))
         assert list(perm) == [1, 0, 2]
 
     def test_distinct_priorities_descending(self):
-        perm = priorities_to_permutation([3, 9, 5], self.jobs([1.0, 1.0, 1.0]))
+        perm = priorities_to_permutation([3, 9, 5], edd_order(self.jobs([1.0, 1.0, 1.0])))
         assert list(perm) == [1, 2, 0]
 
     def test_due_tie_falls_back_to_input_index(self):
-        perm = priorities_to_permutation([1, 1, 1], self.jobs([5.0, 5.0, 5.0]))
+        perm = priorities_to_permutation([1, 1, 1], edd_order(self.jobs([5.0, 5.0, 5.0])))
         assert list(perm) == [0, 1, 2]
 
     def test_always_bijection(self):
@@ -351,8 +352,22 @@ class TestPriorities:
             n = int(rng.integers(1, 12))
             jobs = self.jobs(rng.integers(1, 50, n).astype(float))
             pri = rng.integers(0, 10, n)
-            perm = priorities_to_permutation(list(pri), jobs)
+            perm = priorities_to_permutation(list(pri), edd_order(jobs))
             assert sorted(perm) == list(range(n))
+
+    def test_matches_the_priority_due_day_index_key(self):
+        # The order's first definition, one sort by (-priority, due day, index),
+        # is the oracle; few distinct priorities and due days make many ties.
+        forms = (lambda p: [int(v) for v in p], lambda p: [float(v) for v in p],
+                 np.asarray, lambda p: np.asarray(p, dtype=float) / 4)
+        rng = np.random.default_rng(24)
+        for case in range(1200):
+            n = int(rng.integers(1, 40))
+            jobs = self.jobs(rng.integers(0, int(rng.integers(1, 8)), n) / 2)
+            levels = rng.integers(-3, int(rng.integers(-2, 10)), n)
+            p = forms[case % len(forms)](levels)
+            want = sorted(range(n), key=lambda i: (-p[i], jobs[i].due_day, i))
+            assert priorities_to_permutation(p, edd_order(jobs)) == want
 
 
 class TestHfsEnv:
@@ -368,7 +383,7 @@ class TestHfsEnv:
         lc = LearningConfig(alpha=0.0, epsilon=0.0)
         tree = DecisionTree(Leaf([0.0] * 9 + [1.0]))  # always priority 9
         ret = run_episode(env, tree, lc, np.random.default_rng(0))
-        edd = priorities_to_permutation([5] * 15, inst.jobs)
+        edd = priorities_to_permutation([5] * 15, edd_order(inst.jobs))
         want = makespan(decode_list_schedule(inst, edd))
         assert ret == -want / 1000.0
 
@@ -378,7 +393,7 @@ class TestHfsEnv:
         lc = LearningConfig(alpha=0.0, epsilon=0.0)
         tree = DecisionTree(Leaf([1.0, 0.0] + [0.0] * 8))
         ret = run_episode(env, tree, lc, np.random.default_rng(0))
-        perm = priorities_to_permutation(env.actions, inst.jobs)
+        perm = priorities_to_permutation(env.actions, edd_order(inst.jobs))
         assert ret * env.objective_scale == makespan(decode_list_schedule(inst, perm))
 
     def test_shared_makespans_decode_a_permutation_once(self, monkeypatch):
@@ -396,7 +411,7 @@ class TestHfsEnv:
         returns = [run_episode(env, tree, lc, np.random.default_rng(0), seed=seed)
                    for seed in (1, 2)]
         assert returns[0] == returns[1]
-        perm = priorities_to_permutation([0] * 10, inst.jobs)
+        perm = priorities_to_permutation([0] * 10, edd_order(inst.jobs))
         assert decoded == [perm] and len(env._makespans) == 1
         # The second episode hit the memo with the same priorities.
         assert env.actions == [0] * 10
@@ -409,7 +424,7 @@ class TestHfsEnv:
             env.reset()
             for level in priorities:
                 _, reward, done = env.step(level)
-            perm = priorities_to_permutation(priorities, inst.jobs)
+            perm = priorities_to_permutation(priorities, edd_order(inst.jobs))
             assert done and reward == -makespan(decode_list_schedule(inst, perm)) / 1000.0
             rewards.append(reward)
         assert rewards[0] != rewards[1] and len(env._makespans) == 2
@@ -435,7 +450,7 @@ class TestHfsEnv:
         monkeypatch.setattr(evoscm.flowshop, "decode_list_schedule", counting_decode)
         env = HfsEnv(inst)
         priorities = [9] * 6 + [0] * 6
-        perm = priorities_to_permutation(priorities, inst.jobs)
+        perm = priorities_to_permutation(priorities, edd_order(inst.jobs))
         value = env.objective(priorities)
         assert env.score(np.array(perm), np.random.default_rng(0)) == env.score(perm) == value
         assert decoded == [perm]
