@@ -14,18 +14,20 @@ so a placement whose open interval would overflow the areas is retried with
 the first phase pushed past the next area release.
 
 Everything placed so far lives in capacity profiles, one per category and one
-for the jobs' open windows: two flat lists, the sorted breakpoints (from a
--inf sentinel) and the usage of each segment between them (the serial
-schedule-generation scheme's data structure). A phase query bisects to its
-ready time and walks forward over the segments until a gap of the phase's
-length fits under the capacity, so it costs a bisect plus a walk over the
-segments the phase crosses. The area check walks the segments of the job's
-window the same way, and a retry finds the next release by bisecting a sorted
-list of window ends. Both walks run inline in the decoder's job loop. Placing
-an interval is one walk: bisect to its start, make that a breakpoint,
-increment segments up to its end, and make the end a breakpoint if it is not
-one. Starts are always the ready time or an existing breakpoint and ends are
-``start + duration``; no time is computed by any other arithmetic.
+for the jobs' open windows: two flat lists, the sorted breakpoints (between
+-inf and +inf sentinels) and the usage of each segment between them (the
+serial schedule-generation scheme's data structure). A phase query bisects to
+its ready time and walks forward until it reaches ``start + duration`` with no
+segment at the capacity; the area check walks the job's window the same way,
+and a retry finds the next release by bisecting a sorted list of window ends.
+Each walk ends knowing the segment that holds its start and the first
+breakpoint at or after its end. The job's intervals are placed from those
+indices, last first so that no insert shifts an earlier interval's indices:
+the end and then the start become breakpoints if they are not, and the
+segments between them gain one. A phase that starts where the previous one on
+its profile ended extends that interval. Starts are always the ready time or
+an existing breakpoint and ends are ``start + duration``; no time is computed
+by any other arithmetic.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import csv
 import math
 import numbers
 from array import array
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 
 from .envs import HORIZON_DAYS, EnvSpec, FeatureSpec, RowEnv
@@ -178,23 +180,6 @@ def _first_phase_index(phases, category):
     return None
 
 
-def _add(times, usage, start, end):
-    """Count one more interval over [start, end) in the profile ``times``,
-    ``usage``: make ``start`` a breakpoint, increment the segments up to
-    ``end``, and make ``end`` a breakpoint carrying the usage it had."""
-    k = bisect_left(times, start, 1)
-    if k == len(times) or times[k] != start:
-        times.insert(k, start)
-        usage.insert(k, usage[k - 1])
-    last = len(times)
-    while k < last and times[k] < end:
-        usage[k] += 1
-        k += 1
-    if k == last or times[k] != end:
-        times.insert(k, end)
-        usage.insert(k, usage[k - 1] - 1)
-
-
 def decode_list_schedule(instance: HfsInstance, permutation) -> Schedule:
     """Serial list scheduling: place jobs in permutation order, each phase at
     its earliest feasible start.
@@ -214,10 +199,11 @@ def decode_list_schedule(instance: HfsInstance, permutation) -> Schedule:
     if perm != entries or sorted(perm) != list(range(n)):
         raise ValueError("permutation must be a bijection over job indices 0..n-1")
     # A profile is piecewise-constant usage: usage[k] intervals cover every
-    # instant of [times[k], times[k + 1]), the last segment runs to +inf, and
-    # the -inf sentinel puts every query time in a segment.
-    profiles = {category: ([-math.inf], [0]) for category in CATEGORIES}
-    area_times, area_usage = [-math.inf], [0]
+    # instant of [times[k], times[k + 1]). The -inf sentinel puts every query
+    # time in a segment, and the +inf one ends every walk and is never an
+    # interval's end.
+    profiles = {category: ([-math.inf, math.inf], [0, 0]) for category in CATEGORIES}
+    area_times, area_usage = [-math.inf, math.inf], [0, 0]
     areas = instance.assembly_areas
     plans = {}
     for name, phases in instance.type_specs.items():
@@ -225,7 +211,7 @@ def decode_list_schedule(instance: HfsInstance, permutation) -> Schedule:
         first_e = _first_phase_index(phases, "E")
         plans[name] = tuple(
             (category, dur, *profiles[category], instance.capacities[category],
-             k == first_m, k == first_e)
+             k == first_m, k == first_e, k > 0 and phases[k - 1][0] == category)
             for k, (category, dur) in enumerate(phases))
     window_ends = []
     placed = [None] * n
@@ -236,38 +222,66 @@ def decode_list_schedule(instance: HfsInstance, permutation) -> Schedule:
         push = 0.0
         while True:
             spans = []
+            # (times, usage, start segment, end index, start, end) per interval.
+            places = []
             lo = push
-            for category, dur, times, usage, cap, first_m, first_e in plan:
+            for category, dur, times, usage, cap, first_m, first_e, follows in plan:
                 if first_m and basement > lo:
                     lo = basement
                 if first_e and panels > lo:
                     lo = panels
                 # Earliest start >= lo with fewer than cap intervals over
-                # [start, start + dur): lo or a breakpoint.
+                # [start, end): lo or a breakpoint. Segment ks holds start and
+                # k is the first breakpoint at or after end.
                 start = lo
-                for k in range(bisect_right(times, lo), len(times)):
+                end = lo + dur
+                k = bisect_right(times, lo)
+                ks = k - 1
+                while True:
                     t = times[k]
                     if usage[k - 1] >= cap:
                         start = t
-                    elif t - start >= dur:
+                        end = t + dur
+                        ks = k
+                    elif t >= end:
                         break
-                lo = start + dur
-                spans.append((category, start, lo))
+                    k += 1
+                spans.append((category, start, end))
+                # A zero-length phase covers no instant and is not placed; a
+                # phase that starts where the previous one on its profile ends
+                # extends that interval.
+                if end > start:
+                    if (follows and places and places[-1][5] == start
+                            and places[-1][0] is times):
+                        _, _, ks, _, start, _ = places.pop()
+                    places.append((times, usage, ks, k, start, end))
+                lo = end
             window_start, window_end = spans[0][1], lo
-            # The job fits unless some segment of its window is at the limit.
-            k = bisect_right(area_times, window_start) - 1
-            last = len(area_times)
-            while k < last and area_times[k] < window_end and area_usage[k] < areas:
+            # The job fits unless some segment of its window is at the limit;
+            # if it fits, k is the first breakpoint at or after window_end.
+            ks = k = bisect_right(area_times, window_start) - 1
+            while area_times[k] < window_end and area_usage[k] < areas:
                 k += 1
-            if k == last or area_times[k] >= window_end:
+            if area_times[k] >= window_end:
                 break
             k = bisect_right(window_ends, window_start)
             if k == len(window_ends):
                 raise RuntimeError("area overflow with no pending release")
             push = window_ends[k]
-        for row, (_, start, end) in zip(plan, spans):
-            _add(row[2], row[3], start, end)
-        _add(area_times, area_usage, window_start, window_end)
+        if window_end > window_start:
+            places.append((area_times, area_usage, ks, k, window_start, window_end))
+        for times, usage, ks, ke, start, end in reversed(places):
+            if times[ke] != end:
+                times.insert(ke, end)
+                usage.insert(ke, usage[ke - 1])
+            if times[ks] != start:
+                ks += 1
+                ke += 1
+                times.insert(ks, start)
+                usage.insert(ks, usage[ks - 1])
+            while ks < ke:
+                usage[ks] += 1
+                ks += 1
         insort(window_ends, window_end)
         placed[j] = spans
     delivery = [placed[j][-1][2] + instance.transport_days for j in range(n)]

@@ -131,7 +131,7 @@ def _earliest_slot(intervals, cap, ready, dur):
     for t in sorted(events):
         if usage >= cap:
             candidate = t
-        elif t - candidate >= dur:
+        elif t >= candidate + dur:
             return candidate
         usage += events[t]
     return candidate
