@@ -10,6 +10,8 @@ constant-action leaves and learning disabled, as the no-learning control.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 # Unused here, but tracers look these names up on this module.
@@ -149,10 +151,7 @@ def ga_run(space: SearchSpace, seed, *, population_size: int = 50,
                         offspring.append(_swap_mutation(c, swap_prob, rng))
         scored = [evaluate(c) for c in offspring[:space.trace.remaining]]
         population = replace_steady_state(population, scored)
-    return space.record("ga", seed, {"population_size": population_size,
-                                     "crossover_prob": crossover_prob,
-                                     "tournament_size": tournament_size,
-                                     "flip_prob": flip_prob, "swap_prob": swap_prob})
+    return space.record("ga", seed, {"flip_prob": flip_prob})
 
 
 def binary_probabilities(tau: np.ndarray) -> np.ndarray:
@@ -220,8 +219,7 @@ def aco_run(space: SearchSpace, seed, *, colony_size: int = 20,
         delta = min(max(delta, 1e-6), 1.0)
         tau = pheromone_step(tau, rho, [(i, int(v)) for i, v in enumerate(x)],
                              delta, tau_min, tau_max)
-    return space.record("aco", seed, {"colony_size": colony_size, "rho": rho,
-                                      "tau_min": tau_min, "tau_max": tau_max})
+    return space.record("aco", seed, {})
 
 
 def greedy_edd(instance: HfsInstance, seed: int = 0) -> RunRecord:
@@ -268,19 +266,21 @@ def _ramped_population(spec, rng, size: int, max_depth: int = 6) -> list:
     return out
 
 
-def _replace_at(node, target: int, counter: list, replacement):
-    """Replace the pre-order ``target``-th node (counting from 0)."""
-    if counter[0] == target:
-        counter[0] += 1
-        return replacement, True
-    counter[0] += 1
-    if isinstance(node, Leaf):
-        return node, False
-    yes, hit = _replace_at(node.yes, target, counter, replacement)
-    if hit:
-        return Split(node.condition, yes, node.no), True
-    no, hit = _replace_at(node.no, target, counter, replacement)
-    return Split(node.condition, node.yes, no), hit
+def _graft(a: DecisionTree, target: int, subtree, max_depth: int) -> DecisionTree:
+    """A copy of ``a``, made in one pre-order walk, that holds ``subtree``
+    in place of its pre-order ``target``-th node (counting from 0); past
+    ``max_depth``, a copy of ``a`` instead."""
+    index = itertools.count()
+
+    def cp(node):
+        if next(index) == target:
+            return subtree
+        if isinstance(node, Leaf):
+            return node.copy()
+        return Split(node.condition, cp(node.yes), cp(node.no))
+
+    child = DecisionTree(cp(a.root))
+    return a.copy() if child.depth() > max_depth else child
 
 
 def subtree_crossover(a: DecisionTree, b: DecisionTree, rng,
@@ -288,20 +288,15 @@ def subtree_crossover(a: DecisionTree, b: DecisionTree, rng,
     """Graft a random subtree of b onto a random point of a; offspring past
     the depth cap revert to a copy of a."""
     target = int(rng.integers(0, len(list(a.nodes()))))
-    donors = list(b.nodes())  # pre-order, like _replace_at's count
+    donors = list(b.nodes())  # pre-order, like _graft's count
     donor = DecisionTree(donors[int(rng.integers(0, len(donors)))]).copy().root
-    root, _ = _replace_at(a.copy().root, target, [0], donor)
-    child = DecisionTree(root)
-    return a.copy() if child.depth() > max_depth else child
+    return _graft(a, target, donor, max_depth)
 
 
 def subtree_mutation(a: DecisionTree, spec, rng, max_depth: int = 6) -> DecisionTree:
     """Replace a random node with a freshly grown subtree (depth <= 2)."""
     target = int(rng.integers(0, len(list(a.nodes()))))
-    fresh = _grow(spec, rng, 2, full=False)
-    root, _ = _replace_at(a.copy().root, target, [0], fresh)
-    child = DecisionTree(root)
-    return a.copy() if child.depth() > max_depth else child
+    return _graft(a, target, _grow(spec, rng, 2, full=False), max_depth)
 
 
 @checked
@@ -322,13 +317,10 @@ def gp_evolve(env, budget: int, seed, *, population_size: int = 30,
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x69EE)))
     evaluated = min(population_size, -(-search.trace.limit // search.episodes_per_eval))
 
-    generation = 0
     population = search.evaluate_in_order(
         [Individual(None, tree=t)
-         for t in _ramped_population(spec, rng, evaluated, max_depth)],
-        generation)
+         for t in _ramped_population(spec, rng, evaluated, max_depth)])
     while search.trace.remaining > 0:
-        generation += 1
         offspring = []
         while len(offspring) < population_size:
             p1 = select_parent(population, tournament_size, rng).tree
@@ -341,8 +333,5 @@ def gp_evolve(env, budget: int, seed, *, population_size: int = 30,
                 child = subtree_mutation(child, spec, rng, max_depth)
             offspring.append(Individual(None, tree=child))
         population = replace_steady_state(
-            population, search.evaluate_in_order(offspring, generation))
-    return search.record("gp", {"population_size": population_size,
-                                "crossover_prob": crossover_prob,
-                                "mutation_prob": mutation_prob,
-                                "tournament_size": tournament_size, "max_depth": max_depth})
+            population, search.evaluate_in_order(offspring))
+    return search.record("gp")

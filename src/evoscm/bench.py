@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -219,12 +220,24 @@ def _run_one(cfg: ExperimentConfig, seed: int, inputs: CampaignInputs) -> RunRec
     return RUNNERS[algo](space, seed, **cfg.params)
 
 
+def _check_out_dir(path):
+    """Raise ValueError unless the nearest existing ancestor of ``path`` (or
+    ``path`` itself) is a directory this process can write and enter."""
+    existing = Path(path).absolute()
+    while not existing.exists():
+        existing = existing.parent
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise ValueError(f"output directory {path}: {existing} is not a directory "
+                         "this process can write")
+
+
 def run_experiment(cfg: ExperimentConfig) -> list:
     """Run the campaign and write artifacts into cfg.out_dir.
 
-    The input files are parsed once, before any run starts. Run i uses seed
-    cfg.seed + i; greedy runs once on a budget of 1, whatever ``runs`` and
-    ``budget`` say, and its artifacts say so. Runs share only
+    The input files are parsed once and the output path checked before any
+    run starts; the output directory is made after the last run. Run i uses
+    seed cfg.seed + i; greedy runs once on a budget of 1, whatever ``runs``
+    and ``budget`` say, and its artifacts say so. Runs share only
     the read-only inputs (each has its own environment or search space, RNG
     streams and budget counter), so the thread pool size changes wall time
     only, never results.
@@ -232,6 +245,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     if cfg.algo == "greedy":
         cfg = replace(cfg, budget=1, runs=1)
     inputs = load_inputs(cfg)
+    _check_out_dir(cfg.out_dir)
     seeds = [cfg.seed + i for i in range(cfg.runs)]
     if cfg.workers > 1:
         from concurrent.futures import ThreadPoolExecutor

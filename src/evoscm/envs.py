@@ -189,9 +189,12 @@ def evaluate_fitness(tree: DecisionTree, env: Env, episodes: int, rng,
 def greedy_rollout(tree: DecisionTree, env: Env, episodes: int, seed):
     """Frozen-policy rollout (epsilon=0, no learning) recording every step.
 
-    Returns (observations, actions, returns). Visit counters do accumulate,
-    which is exactly what pruning needs; call tree.reset_visits() first to
-    make the counts reflect only this rollout.
+    Returns (observations, actions, returns). Each logged observation is
+    ``tuple(obs)``: a ``RowEnv``'s row itself, and a copy of any other
+    sequence, so an environment that reuses one buffer cannot change the
+    log. Visit counters do accumulate, which is exactly what pruning needs;
+    call tree.reset_visits() first to make the counts reflect only this
+    rollout.
     """
     rng = np.random.default_rng(seed)
     obs_log, act_log, rets = [], [], []
@@ -201,7 +204,7 @@ def greedy_rollout(tree: DecisionTree, env: Env, episodes: int, seed):
         for _ in range(env.spec.episode_len):
             leaf = tree.traverse(obs)
             action = leaf.action
-            obs_log.append(np.array(obs, dtype=float))
+            obs_log.append(tuple(obs))
             act_log.append(action)
             obs, reward, done = env.step(action)
             total += reward

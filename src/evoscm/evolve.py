@@ -7,14 +7,15 @@ replacement is steady-state (parents and offspring merged, best kept, ties
 prefer incumbents). Fitness is the mean episode return of the decoded tree
 with Q-learning leaves; genotypes whose derivation runs out of codons get a
 fixed penalty fitness and charge no budget. ``PolicySearch`` holds the
-budget, trace, per-individual streams and closing rollout of a policy search;
-``check_params`` checks every runner's keyword hyperparameters.
+budget, trace, generations, streams and closing rollout of a policy search;
+``checked`` checks and records every runner's keyword hyperparameters.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -74,11 +75,11 @@ def check_values(values: dict):
 
 
 def check_params(runner, params: dict):
-    """Raise ValueError unless ``params`` are keyword hyperparameters that
-    ``runner`` takes, with values ``check_values`` accepts,
-    0 < tau_min <= tau_max, q_init_low <= q_init_high and, since one-point
-    crossover needs an interior cut, genotype_length >= 2, and
-    population_size * genotype_length <= _MAX_CODONS."""
+    """Return ``params`` over ``runner``'s keyword defaults. Raise ValueError
+    unless ``params`` are keyword hyperparameters that ``runner`` takes, with
+    values ``check_values`` accepts, 0 < tau_min <= tau_max, q_init_low <=
+    q_init_high and, since one-point crossover needs an interior cut,
+    genotype_length >= 2, and population_size * genotype_length <= _MAX_CODONS."""
     defaults = {name: p.default
                 for name, p in inspect.signature(runner).parameters.items()
                 if p.kind is p.KEYWORD_ONLY}
@@ -104,18 +105,24 @@ def check_params(runner, params: dict):
         if size * length > _MAX_CODONS:
             raise ValueError("population_size * genotype_length must be at most "
                              f"{_MAX_CODONS} codons, got {size} * {length}")
+    return values
 
 
 def checked(runner):
-    """Apply ``check_params`` to the keyword hyperparameters of every call;
-    other arguments pass through unchanged."""
+    """Apply ``check_params`` to the keyword hyperparameters of every call and
+    record them, given or default, in the returned record's ``params``, where
+    a value the runner recorded itself (one it resolved) wins; other
+    arguments pass through unchanged."""
     names = {name for name, p in inspect.signature(runner).parameters.items()
              if p.kind is p.KEYWORD_ONLY}
 
     @functools.wraps(runner)
     def wrapper(*args, **kwargs):
-        check_params(runner, {k: v for k, v in kwargs.items() if k in names})
-        return runner(*args, **kwargs)
+        values = check_params(runner, {k: v for k, v in kwargs.items() if k in names})
+        record = runner(*args, **kwargs)
+        for name, value in values.items():
+            record.params.setdefault(name, value)
+        return record
 
     return wrapper
 
@@ -193,9 +200,9 @@ class PolicySearch:
     also the run's episode budget, the episodes per evaluation (3 for
     stochastic environments and 1 for deterministic ones unless given), and
     the (seed, generation, index) stream of each individual, so that
-    evaluation order cannot change results. Episode quotas go in index
-    order, and the last evaluation may run on a partial quota so that
-    consumption equals the budget exactly.
+    evaluation order cannot change results; each ``evaluate_in_order`` call
+    is the next generation, 0 the initial one. Quotas go in index order, and
+    the last may be partial so that consumption equals the budget exactly.
     """
 
     def __init__(self, env, budget: int, seed: int, learning: LearningConfig,
@@ -206,6 +213,7 @@ class PolicySearch:
         self.episodes_per_eval = episodes_per_eval or (3 if self.spec.stochastic else 1)
         self.seed = seed
         self.learning = learning
+        self._generations = itertools.count()
 
     def evaluate(self, ind: Individual, stream):
         """Score ``ind.tree`` on the next quota of episodes and record it."""
@@ -213,11 +221,12 @@ class PolicySearch:
         ind.fitness = evaluate_fitness(ind.tree, self.env, quota, stream, self.learning)
         self.trace.record(ind.fitness, quota, payload=ind)
 
-    def evaluate_in_order(self, individuals: list, generation: int, score=None) -> list:
+    def evaluate_in_order(self, individuals: list, score=None) -> list:
         """Call ``score(ind, stream)`` (default: ``evaluate``) on each
-        individual in index order until the budget runs out; return those
-        scored."""
+        individual of the next generation in index order until the budget
+        runs out; return those scored."""
         score = score or self.evaluate
+        generation = next(self._generations)
         scored = []
         for index, ind in enumerate(individuals):
             if self.trace.remaining == 0:
@@ -227,14 +236,14 @@ class PolicySearch:
             scored.append(ind)
         return scored
 
-    def record(self, algo: str, params: dict) -> RunRecord:
+    def record(self, algo: str) -> RunRecord:
         """The run's record, in objective units: returns times
         ``env.objective_scale``, whose negative sign turns the running
-        maximum of returns into the running minimum of the objective. The
-        best tree is re-run greedily (no exploration, no learning) for one
-        final rollout that recharges visit counters, drives prune_unreached,
-        and lands in record.artifacts; those reporting episodes are not part
-        of the optimization budget."""
+        maximum of returns into the running minimum of the objective; its
+        params hold the resolved episodes_per_eval. The best tree is re-run
+        greedily (no exploration, no learning) for one final rollout that
+        recharges visit counters, drives prune_unreached, and lands in
+        record.artifacts; those episodes are outside the optimization budget."""
         e = self.episodes_per_eval
         best = self.trace.best_payload.tree
         best.reset_visits()
@@ -242,7 +251,7 @@ class PolicySearch:
             best, self.env, e, np.random.SeedSequence((self.seed, _FINAL_TAG)))
         pruned = prune_unreached(best)
         return self.trace.run_record(
-            algo, self.seed, to_oneline(pruned, self.spec), {**params, "episodes_per_eval": e},
+            algo, self.seed, to_oneline(pruned, self.spec), {"episodes_per_eval": e},
             scale=self.env.objective_scale,
             artifacts={"tree": best, "pruned_tree": pruned, "rollout_observations": obs_log,
                        "rollout_actions": act_log, "rollout_returns": rets})
@@ -262,12 +271,6 @@ def run_eldt(env, budget: int, seed: int, grammar: Grammar, *, population_size: 
     configure the leaves' Q-learning. A budget smaller than one
     generation's cost is allowed: the run truncates mid-generation.
     """
-    params = {"population_size": population_size,
-              "genotype_length": genotype_length, "g_max": g_max,
-              "mutation_prob": mutation_prob, "crossover_prob": crossover_prob,
-              "tournament_size": tournament_size, "penalty_fitness": penalty_fitness,
-              "alpha": alpha, "gamma": gamma, "epsilon": epsilon,
-              "q_init_low": q_init_low, "q_init_high": q_init_high}
     learning = LearningConfig(alpha, gamma, epsilon)
     search = PolicySearch(env, budget, seed, learning, episodes_per_eval)
     spec = search.spec
@@ -293,11 +296,9 @@ def run_eldt(env, budget: int, seed: int, grammar: Grammar, *, population_size: 
 
     population = [Individual(random_genotype(genotype_length, g_max, rng))
                   for _ in range(population_size)]
-    generation = 0
-    search.evaluate_in_order(population, generation, score)
+    search.evaluate_in_order(population, score)
 
     while search.trace.remaining > 0:
-        generation += 1
         offspring = []
         while len(offspring) < population_size:
             p1 = select_parent(population, tournament_size, rng)
@@ -309,5 +310,5 @@ def run_eldt(env, budget: int, seed: int, grammar: Grammar, *, population_size: 
                 if len(offspring) < population_size:
                     offspring.append(Individual(mutate(g, mutation_prob, g_max, rng)))
         population = replace_steady_state(
-            population, search.evaluate_in_order(offspring, generation, score))
-    return search.record("eldt", params)
+            population, search.evaluate_in_order(offspring, score))
+    return search.record("eldt")

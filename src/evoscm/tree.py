@@ -190,31 +190,25 @@ def q_update(leaf: Leaf, action: int, reward: float, max_next_q: float,
     return new
 
 
-def _subtree_visits(node) -> int:
-    if isinstance(node, Leaf):
-        return node.visits
-    return _subtree_visits(node.yes) + _subtree_visits(node.no)
-
-
 def prune_unreached(tree: DecisionTree) -> DecisionTree:
-    """Drop branches no traversal reached.
+    """Drop branches no traversal reached, in one walk of the tree.
 
     Bottom-up: a split with one zero-visit child is replaced by the other
     child, repeated to fixpoint. Returns a new tree; surviving leaves keep
     their Q-values and visit counts (copies, so the input is untouched).
     """
 
-    def prune(node):
+    def prune(node):  # (the pruned copy of node, the visits under it)
         if isinstance(node, Leaf):
-            return node.copy()
-        yes, no = prune(node.yes), prune(node.no)
-        if _subtree_visits(yes) == 0:
-            return no
-        if _subtree_visits(no) == 0:
-            return yes
-        return Split(node.condition, yes, no)
+            return node.copy(), node.visits
+        (yes, yes_visits), (no, no_visits) = prune(node.yes), prune(node.no)
+        if yes_visits == 0:
+            return no, no_visits
+        if no_visits == 0:
+            return yes, yes_visits
+        return Split(node.condition, yes, no), yes_visits + no_visits
 
-    return DecisionTree(prune(tree.root))
+    return DecisionTree(prune(tree.root)[0])
 
 
 def structurally_equal(a: DecisionTree, b: DecisionTree) -> bool:

@@ -595,6 +595,28 @@ class TestWorkerFailures:
         assert not out.exists()
 
 
+class TestBadOutDir:
+    """An output path that cannot become a directory exits 1, naming the
+    path, before any run starts."""
+
+    @pytest.mark.parametrize("below", [True, False], ids=["under-a-file", "a-file"])
+    def test_rejected_before_any_run(self, mob_dataset, tmp_path, capsys, monkeypatch,
+                                     below):
+        def run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(evoscm.bench, "_run_one", run)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "x" if below else afile
+        code = run_cli(["run", "--problem", "makeorbuy", "--algo", "ga", "--dataset",
+                        mob_dataset, "--budget", "20", "--runs", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("error:") and str(out) in err and "Traceback" not in err
+        assert afile.read_text() == ""
+
+
 class TestCompareCommand:
     def test_compare_two_dirs(self, mob_dataset, tmp_path, capsys):
         dirs = []

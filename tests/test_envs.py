@@ -334,3 +334,35 @@ class TestGreedyRollout:
         tree.reset_visits()
         greedy_rollout(tree, ConstRewardEnv(5.0), 2, 0)
         assert tree.root.visits == 10
+
+
+class TestRolloutLog:
+    """The closing rollout logs a ``RowEnv``'s rows themselves, and a copy
+    of an observation that is not a tuple."""
+
+    @pytest.mark.parametrize("name", ["makeorbuy", "hfs"])
+    def test_row_env_logs_its_rows(self, name):
+        env = STEP_ENVS[name]()
+        tree = DecisionTree(full_tree(env.spec))
+        tree.init_leaves(env.spec.action_count, np.random.default_rng(0))
+        obs, _, _ = greedy_rollout(tree, env, 2, 0)
+        assert len(obs) == 2 * len(env.rows)
+        for i, logged in enumerate(obs):
+            assert logged is env.rows[i % len(env.rows)]
+
+    def test_a_reused_buffer_is_copied(self):
+        class BufferEnv(ConstRewardEnv):
+            """Serves every observation in one list, overwritten each step."""
+
+            def reset(self, seed=None):
+                self.buffer = [0.0]
+                super().reset(seed)
+                return self.buffer
+
+            def step(self, action):
+                _, reward, done = super().step(action)
+                self.buffer[0] = self._t / self.spec.episode_len
+                return self.buffer, reward, done
+
+        obs, _, _ = greedy_rollout(leaf_tree((1.0, 0.0)), BufferEnv(), 1, 0)
+        assert obs == [(0.0,), (0.2,), (0.4,), (0.6,), (0.8,)]
