@@ -339,12 +339,9 @@ def compare_dirs(in_dirs, out_path=None) -> list:
 
     finals = {}
     for d in in_dirs:
-        path = Path(d) / "finals.csv"
-        if not path.exists():
-            raise datagen.DataError(f"{path}: no such file")
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for algo, value in datagen._read_rows(fh, path, ("algo", "final_objective"), final):
-                finals.setdefault(algo, []).append(value)
+        for algo, value in datagen.read_table(Path(d) / "finals.csv",
+                                              ("algo", "final_objective"), final, "runs"):
+            finals.setdefault(algo, []).append(value)
     algos = sorted(finals)
     if len(algos) < 2:
         raise ValueError("compare needs finals from at least two algorithms")

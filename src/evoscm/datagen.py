@@ -9,16 +9,17 @@ uniform on {800..1500} days. Flow-shop job lists come in four variants:
 * d4: all types, with each job assigned to one of five 73-day groups of the
   year and its basement/panel arrivals drawn inside that group's window
 
-Due dates are always basement day + uniform {20..50}. Every table is read
-by ``_read_rows``, which reports a bad file as a ``DataError`` naming the
-file, the line and the column or value, and written by ``write_csv``, which
-the benchmark's artifacts share.
+Due dates are always basement day + uniform {20..50}. Every CSV table file,
+the benchmark's ``finals.csv`` too, is read by ``read_table``, which reports
+a bad file as a ``DataError`` naming the file and, for a line, its number,
+and written by ``write_csv``, which the benchmark's artifacts share.
 """
 
 from __future__ import annotations
 
 import csv
 import importlib.resources
+import io
 import itertools
 from pathlib import Path
 
@@ -59,17 +60,10 @@ def gen_makeorbuy(n: int, seed) -> list:
 
 def default_machine_types() -> dict:
     """The packaged machine-type table: name -> ((category, duration), ...)."""
-    path = importlib.resources.files("evoscm").joinpath("data/machine_types.csv")
-    with path.open("r", encoding="utf-8") as fh:
-        return _read_machine_types(fh, "evoscm/data/machine_types.csv")
+    return load_machine_types(importlib.resources.files("evoscm") / "data/machine_types.csv")
 
 
 def load_machine_types(path) -> dict:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return _read_machine_types(fh, str(path))
-
-
-def _read_machine_types(fh, name) -> dict:
     phases = {}
 
     def add(row):
@@ -79,16 +73,17 @@ def _read_machine_types(fh, name) -> dict:
             raise ValueError(f"duplicate phase {idx} for {mt!r}")
         phases[mt][idx] = phase
 
-    _read_rows(fh, name, ("machine_type", "phase_index", "category", "duration_days"), add)
+    read_table(path, ("machine_type", "phase_index", "category", "duration_days"), add,
+               "phases")
     specs = {}
     for mt, by_index in phases.items():
         if sorted(by_index) != list(range(len(by_index))):
-            raise DataError(f"{name}: phase indices for {mt!r} are not 0..k-1")
+            raise DataError(f"{path}: phase indices for {mt!r} are not 0..k-1")
         specs[mt] = tuple(by_index[k] for k in range(len(by_index)))
     try:
         validate_type_specs(specs)
     except ValueError as exc:
-        raise DataError(f"{name}: {exc}") from None
+        raise DataError(f"{path}: {exc}") from None
     return specs
 
 
@@ -127,16 +122,9 @@ def save_makeorbuy(orders, path):
 
 
 def load_makeorbuy(path) -> list:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: no such file")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        orders = _read_rows(fh, path, _ORDER_COLUMNS, lambda row: Order(
-            id=int(row["id"]), qty_a=int(row["qty_a"]), qty_b=int(row["qty_b"]),
-            qty_c=int(row["qty_c"]), deadline_day=float(row["deadline_day"])))
-    if not orders:
-        raise DataError(f"{path}: no orders")
-    return orders
+    return read_table(path, _ORDER_COLUMNS, lambda row: Order(
+        id=int(row["id"]), qty_a=int(row["qty_a"]), qty_b=int(row["qty_b"]),
+        qty_c=int(row["qty_c"]), deadline_day=float(row["deadline_day"])), "orders")
 
 
 def save_hfs(instance: HfsInstance, path):
@@ -148,9 +136,6 @@ def save_hfs(instance: HfsInstance, path):
 
 def load_hfs(path, type_specs: dict = None, **shop) -> HfsInstance:
     """Read ``save_hfs``'s job list; ``shop`` keywords as in ``gen_hfs``."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: no such file")
     if type_specs is None:
         type_specs = default_machine_types()
 
@@ -162,27 +147,33 @@ def load_hfs(path, type_specs: dict = None, **shop) -> HfsInstance:
                    basement_day=float(row["basement_day"]),
                    panel_day=float(row["panel_day"]))
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        jobs = _read_rows(fh, path, _JOB_COLUMNS, job)
-    if not jobs:
-        raise DataError(f"{path}: no jobs")
-    return HfsInstance(jobs=tuple(jobs), type_specs=type_specs, **shop)
+    return HfsInstance(jobs=tuple(read_table(path, _JOB_COLUMNS, job, "jobs")),
+                       type_specs=type_specs, **shop)
 
 
-def _read_rows(fh, name, columns, make) -> list:
-    """``make(row)`` for each row of the CSV table in ``fh``, in order,
-    after any leading ``#`` lines (``write_csv``'s header lines). A header
-    that lacks one of ``columns``, a row with no value for one of them or
-    with more values than the header, or a row on which ``make`` raises
-    TypeError or ValueError is a DataError that names ``name`` and, for a
-    row, its line in the file."""
+def read_table(path, columns, make, what) -> list:
+    """``make(row)`` for each row of the UTF-8 CSV table file at ``path``
+    (a byte-order mark is dropped), in order, after any leading ``#`` lines.
+    A missing file, bytes that are not UTF-8, a header that lacks one of
+    ``columns``, a row short of one of them or longer than the header, a row
+    on which ``make`` raises TypeError or ValueError, and a table with no rows
+    ("no ``what``") are each a DataError naming ``path`` and any line at fault."""
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise DataError(f"{path}: no such file") from None
+    try:
+        fh = io.StringIO(data.decode("utf-8-sig"), newline="")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}, line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None
     skipped, first = 0, fh.readline()
     while first.startswith("#"):
         skipped, first = skipped + 1, fh.readline()
     reader = csv.DictReader(itertools.chain((first,), fh))
     missing = sorted(set(columns) - set(reader.fieldnames or ()))
     if missing:
-        raise DataError(f"{name}: missing columns {missing}")
+        raise DataError(f"{path}: missing columns {missing}")
     made = []
     for row in reader:
         try:
@@ -193,7 +184,9 @@ def _read_rows(fh, name, columns, make) -> list:
                 raise ValueError(f"{len(row[None])} more value(s) than the header")
             made.append(make(row))
         except (TypeError, ValueError) as exc:
-            raise DataError(f"{name}, line {skipped + reader.line_num}: {exc}") from None
+            raise DataError(f"{path}, line {skipped + reader.line_num}: {exc}") from None
+    if not made:
+        raise DataError(f"{path}: no {what}")
     return made
 
 

@@ -102,8 +102,12 @@ def parse_bnf(text: str) -> Grammar:
 
 
 def load_bnf(path) -> Grammar:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_bnf(fh.read())
+    """``parse_bnf`` of a UTF-8 file, with or without a BOM; its errors name it."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return parse_bnf(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def decode(genotype, grammar: Grammar, feature_index: dict = None) -> DecisionTree:

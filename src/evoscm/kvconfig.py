@@ -45,8 +45,12 @@ def parse_kv(text: str) -> dict:
 
 
 def load_kv(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_kv(fh.read())
+    """``parse_kv`` of a UTF-8 file, with or without a BOM; its errors name it."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return parse_kv(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def format_kv(mapping: dict) -> str:

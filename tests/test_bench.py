@@ -465,6 +465,11 @@ class TestCompareDirs:
         with pytest.raises(DataError, match="finals.csv"):
             compare_dirs([str(tmp_path)])
 
+    def test_finals_not_utf8(self, tmp_path):
+        (tmp_path / "finals.csv").write_bytes(b"algo,final_objective\nga,1\nrs,\xff2\n")
+        with pytest.raises(DataError, match=r"finals\.csv, line 3: byte 0xff is not UTF-8"):
+            compare_dirs([str(tmp_path)])
+
     def test_single_algo_rejected(self, mob_dataset, tmp_path):
         out = tmp_path / "one"
         cfg = ExperimentConfig(problem="makeorbuy", algo="rs",

@@ -1,7 +1,9 @@
+import codecs
 import csv
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -560,6 +562,51 @@ class TestInputFiles:
                         "--out", str(tmp_path / "out")])
         assert code == 0
         assert len(loads) == 1
+
+
+class TestSettingsFilesNamed:
+    """A bad --params, --sim-params or --grammar file is named in the error,
+    so that the user can tell which of the files given it is."""
+
+    @pytest.mark.parametrize("flag, words", [
+        ("--params", "line 2: expected 'key = value', got 'bogus'"),
+        ("--sim-params", "line 2: expected 'key = value', got 'bogus'"),
+        ("--grammar", "line 2: missing '::=' in 'bogus'"),
+    ], ids=["params", "sim-params", "grammar"])
+    def test_bad_line(self, hfs_dataset, tmp_path, capsys, flag, words):
+        files = {"--params": "# defaults\n", "--sim-params": "# defaults\n"}
+        files[flag] = "# one bad line\nbogus\n"
+        argv = ["run", "--problem", "hfs", "--algo", "eldt", "--dataset", hfs_dataset,
+                "--budget", "6", "--out", str(tmp_path / "out")]
+        for name, text in files.items():
+            (tmp_path / f"{name[2:]}.txt").write_text(text)
+            argv += [name, str(tmp_path / f"{name[2:]}.txt")]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / flag[2:]}.txt: {words}\n", err
+        assert not (tmp_path / "out").exists()
+
+
+class TestByteOrderMark:
+    """A dataset or --params file saved with a UTF-8 byte-order mark gives
+    the same artifacts as the same file without it."""
+
+    def test_same_artifacts(self, tmp_path, monkeypatch):
+        for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+            work = tmp_path / name
+            work.mkdir()
+            monkeypatch.chdir(work)
+            assert run_cli(["datagen", "--problem", "hfs", "--variant", "d1", "--n", "8",
+                            "--seed", "3", "--out", "jobs.csv"]) == 0
+            Path("jobs.csv").write_text(Path("jobs.csv").read_text(), encoding=encoding)
+            Path("ga.kv").write_text("population_size = 4\n", encoding=encoding)
+            assert run_cli(["run", "--problem", "hfs", "--algo", "ga", "--dataset", "jobs.csv",
+                            "--budget", "12", "--runs", "2", "--params", "ga.kv",
+                            "--out", "out"]) == 0
+        assert (tmp_path / "marked/jobs.csv").read_bytes().startswith(codecs.BOM_UTF8)
+        for artifact in ("finals.csv", "history.csv", "summary.csv"):
+            assert ((tmp_path / "marked/out" / artifact).read_bytes()
+                    == (tmp_path / "plain/out" / artifact).read_bytes())
 
 
 class TestWorkerFailures:

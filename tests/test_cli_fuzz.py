@@ -7,7 +7,8 @@ no exception escape, and print an ``error:`` line when it returns 1. A case
 is bounded by ``signal.alarm``, and size hyperparameters only take small
 values, so no case runs long or allocates much memory. The fixed cases are
 huge but finite inputs, and a truck travel time far below the production
-times, that once ended in a traceback, an absurd answer or a long run.
+times, that once ended in a traceback, an absurd answer or a long run, and
+one input file of each kind holding a byte that is not UTF-8.
 """
 
 import inspect
@@ -200,6 +201,31 @@ def test_huge_datagen_size_is_refused(tmp_path, capsys, alarm):
                           "--seed", "0", "--out", str(out)], capsys)
     assert code == 1 and "n must be in [1, " in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ["dataset", "machine_types", "params", "grammar"])
+def test_byte_that_is_not_utf8_names_its_file(tmp_path, capsys, alarm, which):
+    dataset = write_table(tmp_path / "data.csv", dataset_rows("hfs"))
+    argv = ["run", "--problem", "hfs", "--algo", "eldt", "--dataset", dataset,
+            "--budget", "20", "--out", str(tmp_path / "out")]
+    bad = tmp_path / "data.csv"
+    if which == "machine_types":
+        bad = tmp_path / "types.csv"
+        write_table(bad, machine_type_rows())
+        (tmp_path / "sim.kv").write_text(f"machine_types = {bad}\n")
+        argv += ["--sim-params", str(tmp_path / "sim.kv")]
+    elif which == "params":
+        bad = tmp_path / "params.kv"
+        bad.write_text("population_size = 4\n")
+        argv += ["--params", str(bad)]
+    elif which == "grammar":
+        bad = tmp_path / "policy.bnf"
+        bad.write_text("<dt> ::= leaf\n")
+        argv += ["--grammar", str(bad)]
+    bad.write_bytes(bad.read_bytes()[:-1] + b"\xff\n")
+    code, err = run_case(argv, capsys)
+    assert code == 1 and err.startswith(f"error: {bad}") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_slow_travel_is_refused_before_it_runs_long(tmp_path, capsys, alarm):

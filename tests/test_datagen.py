@@ -1,3 +1,5 @@
+import codecs
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -248,6 +250,49 @@ class TestLongRows:
         path = tmp_path / "table.csv"
         path.write_text(LONG_TABLES[load])
         with pytest.raises(DataError, match=r"table\.csv, line 3: 1 more value"):
+            load(path)
+
+
+TABLES = {
+    load_makeorbuy: "id,qty_a,qty_b,qty_c,deadline_day\n0,1,2,3,900\n1,4,5,6,1000\n",
+    load_hfs: "id,machine_type,due_day,basement_day,panel_day\n0,LT7,40,5,5\n"
+              "1,LT8,45,6,2\n",
+    load_machine_types: "machine_type,phase_index,category,duration_days\n"
+                        "T1,0,M,2\nT1,1,E,3\n",
+}
+NO_ROWS = {load_makeorbuy: "no orders", load_hfs: "no jobs", load_machine_types: "no phases"}
+
+
+class TestTableFiles:
+    """Every loader reads its file through ``read_table``: each refusal
+    names the file, and a byte-order mark changes nothing."""
+
+    @pytest.mark.parametrize("load", TABLES, ids=lambda load: load.__name__)
+    def test_missing_file(self, tmp_path, load):
+        with pytest.raises(DataError, match=r"nope\.csv: no such file"):
+            load(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("load", TABLES, ids=lambda load: load.__name__)
+    def test_byte_that_is_not_utf8(self, tmp_path, load):
+        header, first, second = TABLES[load].encode().splitlines(keepends=True)
+        path = tmp_path / "table.csv"
+        path.write_bytes(header + first + b"\xff" + second)
+        with pytest.raises(DataError, match=r"table\.csv, line 3: byte 0xff is not UTF-8"):
+            load(path)
+
+    @pytest.mark.parametrize("load", TABLES, ids=lambda load: load.__name__)
+    def test_byte_order_mark_is_dropped(self, tmp_path, load):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(TABLES[load], encoding="utf-8")
+        marked.write_text(TABLES[load], encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(codecs.BOM_UTF8)
+        assert load(marked) == load(plain)
+
+    @pytest.mark.parametrize("load", TABLES, ids=lambda load: load.__name__)
+    def test_header_only_table(self, tmp_path, load):
+        path = tmp_path / "table.csv"
+        path.write_text("# written by another tool\n" + TABLES[load].splitlines()[0] + "\n")
+        with pytest.raises(DataError, match=rf"table\.csv: {NO_ROWS[load]}$"):
             load(path)
 
 
