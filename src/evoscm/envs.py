@@ -8,6 +8,12 @@ observation is a sequence of floats, one per feature (a tuple or list of
 Python floats, not necessarily an ndarray), and a reward is a float.
 Optimizers never touch simulators directly; one episode is one simulation
 execution and is the unit every budget counts (``records.BestTrace``).
+
+``run_episode`` runs every policy episode. A read-only episode (alpha =
+epsilon = 0) on a ``RowEnv`` runs as one call: the tree's action on every row
+comes from one walk of the tree over boolean row masks, which each
+environment builds once per condition and keeps, and the objective is paid
+once. Every other episode steps through ``step`` one row at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tree import DecisionTree, LearningConfig, epsilon_greedy, q_update
+from .tree import Condition, DecisionTree, LearningConfig, Split, epsilon_greedy, q_update
 
 # The latest day, and the longest duration in days, that a problem's data may
 # name: far past any plan, and small enough that sums of days stay finite.
@@ -112,12 +118,19 @@ class RowEnv(Env):
     """An episode over a fixed table of observation rows: step i observes
     row i whatever was chosen before, and records one action per row. Every
     reward is 0 but the last, which is ``objective(actions) /
-    objective_scale``. Subclasses define ``objective``."""
+    objective_scale``.
+
+    So a read-only episode is one action per row, and ``finish`` plays it
+    whole; ``run_episode`` does so without calling ``step``. Subclasses
+    define ``objective`` and may extend ``reset``, but must not override
+    ``step``. ``mask`` keeps each condition's test on every row, once per
+    environment."""
 
     def __init__(self, rows: tuple, spec: EnvSpec):
         self.rows = rows
         self.spec = spec
         self.actions = []
+        self._masks = {}
 
     def objective(self, actions: list) -> float:
         """The problem's objective for one action per row."""
@@ -140,6 +153,50 @@ class RowEnv(Env):
             return rows[i], 0.0, False
         return (0.0,) * len(rows[0]), self.objective(actions) / self.objective_scale, True
 
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        """The rows as one float array per feature."""
+        return np.array(self.rows, dtype=float).T
+
+    def mask(self, condition: Condition) -> np.ndarray:
+        """``condition.test`` on every row at once, over the row columns: a
+        boolean array built on first use and kept for this environment."""
+        m = self._masks.get(condition)
+        if m is None:
+            m = self._masks[condition] = condition.test(self._columns)
+        return m
+
+    def finish(self, actions: np.ndarray) -> float:
+        """Play the episode that ``reset`` started as a whole: record one
+        action per row and return the terminal reward. An action out of
+        range raises ``step``'s ValueError."""
+        n = self.spec.action_count
+        bad = np.flatnonzero((actions < 0) | (actions >= n))
+        if bad.size:
+            raise ValueError(f"action {actions[bad[0]]} outside 0..{n - 1}")
+        self.actions = actions.tolist()
+        return self.objective(self.actions) / self.objective_scale
+
+
+def row_actions(tree: DecisionTree, env: RowEnv) -> np.ndarray:
+    """The greedy action of ``tree`` on every row of ``env``, from one walk
+    that splits the row indices by each split's mask. Each leaf's visits
+    grow by the rows it serves, as one ``traverse`` per row would."""
+    actions = np.empty(len(env.rows), dtype=np.intp)
+    stack = [(tree.root, np.arange(len(env.rows)))]
+    while stack:
+        node, rows = stack.pop()
+        if not rows.size:
+            continue
+        if isinstance(node, Split):
+            yes = env.mask(node.condition)[rows]
+            stack.append((node.yes, rows[yes]))
+            stack.append((node.no, rows[~yes]))
+        else:
+            node.visits += rows.size
+            actions[rows] = node.action
+    return actions
+
 
 def run_episode(env: Env, tree: DecisionTree, learning: LearningConfig, rng,
                 seed=None) -> float:
@@ -149,9 +206,17 @@ def run_episode(env: Env, tree: DecisionTree, learning: LearningConfig, rng,
     non-terminal steps the update bootstraps from the next leaf's max Q, on
     the terminal step from 0. Returns the undiscounted episode return. The
     episode starts with ``env.reset(seed)``.
+
+    With learning off (alpha = epsilon = 0) on a ``RowEnv``, the episode is
+    one call: ``row_actions`` over the rows, then ``env.finish``. It gives
+    the same return, actions and visits as the step loop, draws nothing from
+    ``rng`` either, and never calls ``step``.
     """
     alpha, gamma, eps = learning.alpha, learning.gamma, learning.epsilon
     learn = alpha != 0.0
+    if not learn and eps == 0.0 and isinstance(env, RowEnv):
+        env.reset(seed)
+        return 0.0 + env.finish(row_actions(tree, env))  # as the step sum: never -0.0
     traverse, step = tree.traverse, env.step
     leaf = traverse(env.reset(seed))
     total = 0.0

@@ -29,7 +29,10 @@ class Condition:
     """Binary test on one observation feature.
 
     ``obs[feature] > value`` for numeric splits (strictly greater) or
-    ``obs[feature] == value`` for categorical splits.
+    ``obs[feature] == value`` for categorical splits. ``obs`` is one
+    observation, or a 2-D float array whose row ``feature`` holds that
+    feature for many observations; then ``test`` gives one bool per
+    observation.
     """
 
     feature: int

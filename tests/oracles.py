@@ -5,7 +5,8 @@ code under test: one scheduler scans integer time cells, another re-sorts
 every placed interval into an event sweep for each phase instead of keeping
 capacity profiles, the make-or-buy simulator makes one tape method call per
 uniform and searches arrival lists with ``np.searchsorted``, the policy step
-runs on numpy scalars over a fresh observation array per step, the rank-sum
+runs on numpy scalars over a fresh observation array per step, a read-only
+episode steps through the environment one row at a time, the rank-sum
 p-value enumerates labelings directly, and the Bellman step is recomputed
 from the raw formula. Keep these naive and slow.
 """
@@ -412,6 +413,18 @@ def run_episode_oracle(env, tree, learning, rng, seed=None) -> float:
         if learn:
             q_update_oracle(leaf, action, reward, float(np.max(nxt.q)), alpha, gamma)
         leaf = nxt
+    return total
+
+
+def read_only_episode_oracle(env, tree, seed=None) -> float:
+    """A read-only episode (no learning, no exploration) one step at a time:
+    each observation's leaf acts through ``env.step`` until the episode
+    ends. Returns the sum of the step rewards."""
+    obs = env.reset(seed)
+    total, done = 0.0, False
+    while not done:
+        obs, reward, done = env.step(tree.traverse(obs).action)
+        total += reward
     return total
 
 
