@@ -35,6 +35,7 @@ from .datagen import (
     load_makeorbuy,
     save_hfs,
     save_makeorbuy,
+    save_schedule,
 )
 from .envs import (
     Env,
@@ -58,7 +59,6 @@ from .flowshop import (
     lower_bounds,
     makespan,
     priorities_to_permutation,
-    save_schedule,
 )
 from .grammar import (
     Grammar,

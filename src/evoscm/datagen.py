@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .flowshop import (ALL_MACHINE_TYPES, LT7_FAMILY, LT8_FAMILY, HfsInstance,
-                       Job, validate_type_specs)
+                       Job, Schedule, validate_type_specs)
 from .makeorbuy import Order
 from .tree import fmt_num
 
@@ -149,6 +149,14 @@ def load_hfs(path, type_specs: dict = None, **shop) -> HfsInstance:
 
     return HfsInstance(jobs=tuple(read_table(path, _JOB_COLUMNS, job, "jobs")),
                        type_specs=type_specs, **shop)
+
+
+def save_schedule(schedule: Schedule, path):
+    """Write one CSV row per phase: job_id,phase_index,category,start,end."""
+    write_csv(path, (), ("job_id", "phase_index", "category", "start", "end"),
+              ([job_id, k, category, repr(float(start)), repr(float(end))]
+               for job_id, spans in zip(schedule.job_ids, schedule.phases)
+               for k, (category, start, end) in enumerate(spans)))
 
 
 def read_table(path, columns, make, what) -> list:

@@ -27,12 +27,13 @@ the end and then the start become breakpoints if they are not, and the
 segments between them gain one. A phase that starts where the previous one on
 its profile ended extends that interval. Starts are always the ready time or
 an existing breakpoint and ends are ``start + duration``; no time is computed
-by any other arithmetic.
+by any other arithmetic. A phase whose duration rounds away at its ready time
+starts there, and a zero-length job window always fits: neither covers an
+instant.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from array import array
@@ -162,17 +163,6 @@ def makespan(schedule: Schedule) -> float:
     return max(schedule.delivery, default=0.0)
 
 
-def save_schedule(schedule: Schedule, path):
-    """Write one CSV row per phase: job_id,phase_index,category,start,end."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["job_id", "phase_index", "category", "start", "end"])
-        for job_id, spans in zip(schedule.job_ids, schedule.phases):
-            for k, (category, start, end) in enumerate(spans):
-                writer.writerow([job_id, k, category, repr(float(start)),
-                                 repr(float(end))])
-
-
 def _first_phase_index(phases, category):
     for k, (cat, _) in enumerate(phases):
         if cat == category:
@@ -186,7 +176,9 @@ def decode_list_schedule(instance: HfsInstance, permutation) -> Schedule:
 
     Per job: phase k starts no earlier than phase k-1 ends; the first M phase
     waits for the basement, the first E phase for the panels; every instant
-    respects the per-category capacity and the open-jobs area limit. Raises
+    respects the per-category capacity and the open-jobs area limit. A phase
+    whose duration rounds away at its ready time (``ready + duration ==
+    ready``) starts there, and a zero-length job window always fits. Raises
     ValueError unless ``permutation`` is a bijection over 0..n-1 given as
     integers.
     """
@@ -231,13 +223,13 @@ def decode_list_schedule(instance: HfsInstance, permutation) -> Schedule:
                 if first_e and panels > lo:
                     lo = panels
                 # Earliest start >= lo with fewer than cap intervals over
-                # [start, end): lo or a breakpoint. Segment ks holds start and
-                # k is the first breakpoint at or after end.
+                # [start, end): lo or a breakpoint, and lo if end == lo. Segment
+                # ks holds start and k is the first breakpoint at or after end.
                 start = lo
                 end = lo + dur
                 k = bisect_right(times, lo)
                 ks = k - 1
-                while True:
+                while end > lo:
                     t = times[k]
                     if usage[k - 1] >= cap:
                         start = t
@@ -257,12 +249,12 @@ def decode_list_schedule(instance: HfsInstance, permutation) -> Schedule:
                     places.append((times, usage, ks, k, start, end))
                 lo = end
             window_start, window_end = spans[0][1], lo
-            # The job fits unless some segment of its window is at the limit;
-            # if it fits, k is the first breakpoint at or after window_end.
+            # An empty window fits; another fits if no segment of it is at the
+            # limit, and then k is the first breakpoint at or after window_end.
             ks = k = bisect_right(area_times, window_start) - 1
             while area_times[k] < window_end and area_usage[k] < areas:
                 k += 1
-            if area_times[k] >= window_end:
+            if area_times[k] >= window_end or window_end == window_start:
                 break
             k = bisect_right(window_ends, window_start)
             if k == len(window_ends):
@@ -296,8 +288,11 @@ def check_feasible(instance: HfsInstance, schedule: Schedule) -> list:
     if len(schedule.phases) != n or len(schedule.delivery) != n:
         return [f"schedule covers {len(schedule.phases)} jobs, instance has {n}"]
     eps = 1e-9
-    cat_events = {category: [] for category in CATEGORIES}
-    windows = []
+    # One sweep over the resources M, E, R (0-2) and the assembly areas (3); ends
+    # sort before starts at equal t, matching half-open intervals.
+    resource = {category: r for r, category in enumerate(CATEGORIES)}
+    caps = [instance.capacities[category] for category in CATEGORIES] + [instance.assembly_areas]
+    events = []
     for i, job in enumerate(instance.jobs):
         spec = instance.type_specs[job.machine_type]
         spans = schedule.phases[i]
@@ -321,33 +316,20 @@ def check_feasible(instance: HfsInstance, schedule: Schedule) -> list:
                 out.append(f"job {job.id} phase {k}: first E phase before panel day "
                            f"({start} < {job.panel_day})")
             prev_end = end
-            cat_events[category].append((start, 1, job.id, k))
-            cat_events[category].append((end, -1, job.id, k))
+            name = f"job {job.id} phase {k}: category {category}"
+            events += [(resource[category], start, 1, name), (resource[category], end, -1, name)]
         want_delivery = spans[-1][2] + instance.transport_days
         if abs(schedule.delivery[i] - want_delivery) > eps:
             out.append(f"job {job.id}: delivery {schedule.delivery[i]}, "
                        f"expected {want_delivery}")
-        windows.append((spans[0][1], spans[-1][2], job.id))
-    for category in CATEGORIES:
-        cap = instance.capacities[category]
-        usage = 0
-        for t, delta, job_id, k in sorted(cat_events[category], key=lambda ev: (ev[0], ev[1])):
-            usage += delta
-            if usage > cap:
-                out.append(f"job {job_id} phase {k}: category {category} over capacity "
-                           f"{cap} at t={t}")
-        # (ends sort before starts at equal t, matching half-open intervals)
-    area_events = []
-    for s, e, job_id in windows:
-        if e > s:
-            area_events.append((s, 1, job_id))
-            area_events.append((e, -1, job_id))
-    usage = 0
-    for t, delta, job_id in sorted(area_events, key=lambda ev: (ev[0], ev[1])):
-        usage += delta
-        if usage > instance.assembly_areas:
-            out.append(f"job {job_id}: assembly areas over capacity "
-                       f"{instance.assembly_areas} at t={t}")
+        if spans[-1][2] > spans[0][1]:
+            name = f"job {job.id}: assembly areas"
+            events += [(3, spans[0][1], 1, name), (3, spans[-1][2], -1, name)]
+    usage = [0] * 4
+    for r, t, delta, name in sorted(events, key=lambda ev: ev[:3]):
+        usage[r] += delta
+        if usage[r] > caps[r]:
+            out.append(f"{name} over capacity {caps[r]} at t={t}")
     return out
 
 
