@@ -254,9 +254,6 @@ def run_experiment(cfg: ExperimentConfig) -> list:
             records = list(pool.map(lambda s: _run_one(cfg, s, inputs), seeds))
     else:
         records = [_run_one(cfg, s, inputs) for s in seeds]
-    for rec in records:
-        rec.problem = cfg.problem
-        rec.dataset = cfg.dataset
     write_artifacts(cfg, records, inputs.spec)
     return records
 

@@ -9,11 +9,11 @@ Python floats, not necessarily an ndarray), and a reward is a float.
 Optimizers never touch simulators directly; one episode is one simulation
 execution and is the unit every budget counts (``records.BestTrace``).
 
-``run_episode`` runs every policy episode. A read-only episode (alpha =
-epsilon = 0) on a ``RowEnv`` runs as one call: the tree's action on every row
-comes from one walk of the tree over boolean row masks, which each
-environment builds once per condition and keeps, and the objective is paid
-once. Every other episode steps through ``step`` one row at a time.
+``run_episode`` runs every episode that ``evaluate_fitness`` scores;
+``greedy_rollout`` steps its own closing episodes. A read-only episode (alpha
+= epsilon = 0) on a ``RowEnv`` runs as one call: one walk of the tree tests
+each split's condition on the row columns, and the objective is paid once.
+Every other episode steps through ``step`` one row at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tree import Condition, DecisionTree, LearningConfig, Split, epsilon_greedy, q_update
+from .tree import DecisionTree, LearningConfig, Split, epsilon_greedy, q_update
 
 # The latest day, and the longest duration in days, that a problem's data may
 # name: far past any plan, and small enough that sums of days stay finite.
@@ -123,14 +123,12 @@ class RowEnv(Env):
     So a read-only episode is one action per row, and ``finish`` plays it
     whole; ``run_episode`` does so without calling ``step``. Subclasses
     define ``objective`` and may extend ``reset``, but must not override
-    ``step``. ``mask`` keeps each condition's test on every row, once per
-    environment."""
+    ``step``."""
 
     def __init__(self, rows: tuple, spec: EnvSpec):
         self.rows = rows
         self.spec = spec
         self.actions = []
-        self._masks = {}
 
     def objective(self, actions: list) -> float:
         """The problem's objective for one action per row."""
@@ -158,14 +156,6 @@ class RowEnv(Env):
         """The rows as one float array per feature."""
         return np.array(self.rows, dtype=float).T
 
-    def mask(self, condition: Condition) -> np.ndarray:
-        """``condition.test`` on every row at once, over the row columns: a
-        boolean array built on first use and kept for this environment."""
-        m = self._masks.get(condition)
-        if m is None:
-            m = self._masks[condition] = condition.test(self._columns)
-        return m
-
     def finish(self, actions: np.ndarray) -> float:
         """Play the episode that ``reset`` started as a whole: record one
         action per row and return the terminal reward. An action out of
@@ -179,9 +169,10 @@ class RowEnv(Env):
 
 
 def row_actions(tree: DecisionTree, env: RowEnv) -> np.ndarray:
-    """The greedy action of ``tree`` on every row of ``env``, from one walk
-    that splits the row indices by each split's mask. Each leaf's visits
-    grow by the rows it serves, as one ``traverse`` per row would."""
+    """The greedy action of ``tree`` on every row of ``env``: one walk splits
+    the row indices by each split's ``Condition.test`` on the row columns, and
+    each leaf's visits grow by the rows it serves, as a ``traverse`` per row
+    would."""
     actions = np.empty(len(env.rows), dtype=np.intp)
     stack = [(tree.root, np.arange(len(env.rows)))]
     while stack:
@@ -189,7 +180,7 @@ def row_actions(tree: DecisionTree, env: RowEnv) -> np.ndarray:
         if not rows.size:
             continue
         if isinstance(node, Split):
-            yes = env.mask(node.condition)[rows]
+            yes = node.condition.test(env._columns)[rows]
             stack.append((node.yes, rows[yes]))
             stack.append((node.no, rows[~yes]))
         else:

@@ -288,8 +288,8 @@ def check_feasible(instance: HfsInstance, schedule: Schedule) -> list:
     if len(schedule.phases) != n or len(schedule.delivery) != n:
         return [f"schedule covers {len(schedule.phases)} jobs, instance has {n}"]
     eps = 1e-9
-    # One sweep over the resources M, E, R (0-2) and the assembly areas (3); ends
-    # sort before starts at equal t, matching half-open intervals.
+    # One sweep over the nonempty intervals on M, E, R (0-2) and the assembly
+    # areas (3); ends sort before starts at equal t, matching half-open intervals.
     resource = {category: r for r, category in enumerate(CATEGORIES)}
     caps = [instance.capacities[category] for category in CATEGORIES] + [instance.assembly_areas]
     events = []
@@ -317,7 +317,9 @@ def check_feasible(instance: HfsInstance, schedule: Schedule) -> list:
                            f"({start} < {job.panel_day})")
             prev_end = end
             name = f"job {job.id} phase {k}: category {category}"
-            events += [(resource[category], start, 1, name), (resource[category], end, -1, name)]
+            if category in resource and end > start:
+                r = resource[category]
+                events += [(r, start, 1, name), (r, end, -1, name)]
         want_delivery = spans[-1][2] + instance.transport_days
         if abs(schedule.delivery[i] - want_delivery) > eps:
             out.append(f"job {job.id}: delivery {schedule.delivery[i]}, "

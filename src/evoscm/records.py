@@ -25,8 +25,6 @@ class RunRecord:
     solution: str
     episodes: int
     params: dict = field(default_factory=dict)
-    problem: str = ""
-    dataset: str = ""
     wall_time: float = field(default=0.0, compare=False)
     artifacts: dict = field(default_factory=dict, compare=False, repr=False)
 

@@ -61,6 +61,23 @@ class TestCheckFeasibleMessages:
         assert check_feasible(inst, bad) == [
             "job 1: assembly areas over capacity 1 at t=100000.0"]
 
+    def test_a_category_overflow_names_a_phase_that_covers_it(self):
+        # Jobs 0 and 1 overflow the one M unit at day 1e5; job 2's M phase
+        # there lasts 1e-20, covers no instant, and so is not the one named.
+        specs = {"Z": (("M", 1e-20),), "M": (("M", 5.0),)}
+        inst = shop([Job(0, "M", 2e5, 0.0, 0.0), Job(1, "M", 2e5, 0.0, 0.0),
+                     Job(2, "Z", 2e5, 0.0, 0.0)], specs)
+        bad = Schedule(job_ids=[0, 1, 2],
+                       phases=[[("M", 1e5, 1e5 + 5)], [("M", 1e5, 1e5 + 5)], [("M", 1e5, 1e5)]],
+                       delivery=[1e5 + 5, 1e5 + 5, 1e5])
+        assert check_feasible(inst, bad) == [
+            "job 1 phase 0: category M over capacity 1 at t=100000.0"]
+
+    def test_an_unknown_category_is_reported_not_raised(self):
+        inst = shop([Job(0, "M", 10.0, 0.0, 0.0)], {"M": (("M", 5.0),)})
+        bad = Schedule(job_ids=[0], phases=[[("X", 0.0, 5.0)]], delivery=[5.0])
+        assert check_feasible(inst, bad) == ["job 0 phase 0: category X, expected M"]
+
 
 class TestSaveSchedule:
     def test_exact_bytes(self, tmp_path):

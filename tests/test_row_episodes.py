@@ -173,14 +173,20 @@ class TestWhichEpisodesStep:
         run_episode(env, DecisionTree(Leaf([0.0, 1.0])), READ_ONLY, np.random.default_rng(0), 0)
         assert calls[0] == env.spec.episode_len
 
-    def test_masks_are_built_once_per_environment(self, monkeypatch):
+    def test_each_reached_split_is_tested_once_per_episode(self, monkeypatch):
+        """Each split that some row reaches runs ``Condition.test`` once per
+        episode, on every row at once: never once per row, and no test is
+        kept from one episode for the next."""
         env = ROW_ENVS["makeorbuy"]()
         tree = DecisionTree(_grow(env.spec, np.random.default_rng(5), 4, full=True))
+        reached = set()
+        for row in env.rows:
+            node = tree.root
+            while isinstance(node, Split):
+                reached.add(id(node))
+                node = node.yes if node.condition.test(row) else node.no
+        assert 1 < len(reached) < len(list(tree.splits()))
         tests = count_calls(monkeypatch, Condition, "test")
-        run_episode(env, tree, READ_ONLY, np.random.default_rng(0), 0)
-        first = tests[0]
-        # one test per distinct condition that some row reaches
-        assert 0 < first <= len({split.condition for split in tree.splits()})
-        for seed in (1, 2):
+        for seed in range(3):
             run_episode(env, tree, READ_ONLY, np.random.default_rng(0), seed)
-        assert tests[0] == first
+            assert tests[0] == (seed + 1) * len(reached)
